@@ -28,7 +28,6 @@ import os
 import socket
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 from ..check.checker import make_checker
@@ -59,10 +58,12 @@ from ..transport.message import (
 from ..transport.channel import Channel
 from ..transport.coalesce import CoalescingSender
 from ..transport.faults import FaultPlan
+from ..transport import pub, shm
 from ..transport.socket_channel import SocketChannel, WireOptions, listen_socket
 from ..util.hostid import host_fingerprint
 from ..util.ids import IdAllocator
 from ..util.log import get_logger
+from ..util.pool import WorkerPool
 from .base import Fabric, exception_from_error
 
 log = get_logger("mp")
@@ -71,14 +72,14 @@ log = get_logger("mp")
 #: ``Config.serve.workers`` is None (the "auto" default).
 DEFAULT_MP_WORKERS = 8
 
-# Extra executor threads beyond ``serve.workers`` — substrate for bodies
+# Extra pool threads beyond ``serve.workers`` — substrate for bodies
 # that yielded their policy slot while parked on a remote future (see
 # ``ServePolicy.yield_for_wait``) — come from ``serve.yield_headroom``:
 # it bounds how many bodies one machine can park concurrently, so users
 # size it for their deepest symmetric exchange (docs/SERVING.md).
 
 #: kernel methods served inline on the connection reader thread instead
-#: of the kernel executor: guaranteed non-blocking, and they must land
+#: of the kernel lane: guaranteed non-blocking, and they must land
 #: even when both kernel-lane threads are stuck in blocking kernel
 #: methods (a destroy draining in-flight calls, an untimed quiesce).
 _INLINE_KERNEL_METHODS = frozenset({"shutdown", "ping", PING_METHOD})
@@ -94,7 +95,9 @@ class _Connection:
     When ``Config.wire_coalesce`` is on, outbound messages go through a
     :class:`~repro.transport.coalesce.CoalescingSender`, so a burst of
     pipelined requests leaves as one BATCH frame; a flush failure fails
-    every pending future, same as a broken socket.
+    every pending future, same as a broken socket.  The only request
+    awaiting a reply is written through on the caller's thread (``alone``;
+    oneway sends always queue, or a ``.oneway()`` loop would not batch).
     """
 
     def __init__(self, channel: Channel, owner: "PeerClient",
@@ -118,25 +121,28 @@ class _Connection:
             target=self._read_loop, name=f"oopp-demux-m{machine}", daemon=True)
         self._reader.start()
 
-    def send(self, msg) -> None:
+    def send(self, msg, alone: bool = False) -> None:
         """Outbound path: through the coalescer when enabled."""
         if self._sender is not None:
-            self._sender.send(msg)
+            self._sender.send(msg, alone=alone)
         else:
             self.channel.send(msg)
 
     def register(self, request_id: int, future: RemoteFuture,
-                 oid: int) -> None:
+                 oid: int) -> bool:
+        """Track the call; True when it is the only one awaiting a reply."""
         with self._lock:
             if self._dead is not None:
                 raise MachineDownError(str(self._dead), machine=self.machine,
                                        oid=oid)
             self._pending[request_id] = (future, oid)
+            return len(self._pending) == 1
 
     def _read_loop(self) -> None:
         ctx = self._owner.decode_context
         with context_scope(ctx):
             while True:
+                msg = entry = future = None  # no payload (shm) while blocked
                 try:
                     msg = self.channel.recv()
                 except ChannelTimeoutError:
@@ -308,12 +314,13 @@ class PeerClient:
                                        method=method)
         checker = self.checker
         future: Optional[RemoteFuture] = None
+        alone = False
         if not oneway:
             future = RemoteFuture(
                 label=f"machine{ref.machine}#{ref.oid}.{method}")
             if checker is not None:
                 future._consume_hook = checker.on_consume
-            conn.register(request_id, future, ref.oid)
+            alone = conn.register(request_id, future, ref.oid)
             if span is not None:
                 # Completion (reply, connection loss, send failure) runs
                 # on the completing thread and closes the client span.
@@ -331,7 +338,7 @@ class PeerClient:
             # thread) can never finish the span before it is "sent".
             span.t_sent = tracer.now()
         try:
-            conn.send(request)
+            conn.send(request, alone)
         except (ChannelClosedError, TransportError, OSError) as exc:
             err = MachineDownError(
                 f"send to machine {ref.machine} failed: {exc}",
@@ -456,6 +463,51 @@ class MachineFabric(Fabric):
                                            oneway=True)
 
 
+class _ServedConnection:
+    """One accepted connection: the reply path (one coalescer, so bursts
+    of small responses batch) and the count of requests not yet answered.
+    The reply to the *only* one — none running, none in the channel's
+    decoded BATCH tail — is written through; shutdown waits on the count.
+    """
+
+    def __init__(self, channel: SocketChannel, wire, name: str) -> None:
+        self.channel = channel
+        self.sender: Optional[CoalescingSender] = None
+        if wire.coalesce:
+            self.sender = CoalescingSender(
+                channel, max_msgs=wire.coalesce_max_msgs,
+                max_bytes=wire.coalesce_max_bytes, name=name)
+        self._cond = threading.Condition()
+        self._unanswered = 0
+
+    def received(self) -> None:
+        with self._cond:
+            self._unanswered += 1
+
+    def reply(self, msg) -> None:
+        with self._cond:
+            alone = self._unanswered == 1 and not self.channel.rx_backlog
+        try:
+            if self.sender is None:
+                self.channel.send(msg)
+            else:
+                self.sender.send(msg, alone=alone)
+        finally:
+            # Not before the sender has it: drain() closes at zero.
+            with self._cond:
+                self._unanswered -= 1
+                if not self._unanswered:
+                    self._cond.notify_all()
+
+    def drain(self, deadline: float) -> None:
+        """Wait until every request has its reply on the wire."""
+        with self._cond:  # a timeout already past just tests the predicate
+            self._cond.wait_for(lambda: not self._unanswered,
+                                deadline - time.monotonic())
+        if self.sender is not None:
+            self.sender.flush(deadline - time.monotonic())
+
+
 class MachineServer:
     """The object server of one machine process."""
 
@@ -506,21 +558,19 @@ class MachineServer:
         self.port = self.listener.getsockname()[1]
         # serve.workers caps *executing* bodies via the policy's slots;
         # None keeps the historical 8-thread default as the effective
-        # limit.  The executor itself gets headroom beyond that: a body
+        # limit.  The pool itself gets headroom beyond that: a body
         # parked on a remote future yields its policy slot but still
         # occupies its thread, so without spare threads a symmetric
         # exchange (every worker parked, deposits queued behind them)
         # would starve the pool the policy just freed up.
         pool_size = (config.serve.workers if config.serve.workers is not None
                      else DEFAULT_MP_WORKERS)
-        self.executor = ThreadPoolExecutor(
-            max_workers=pool_size + config.serve.yield_headroom,
-            thread_name_prefix=f"oopp-m{machine_id}")
+        self.workers = WorkerPool(pool_size + config.serve.yield_headroom,
+                                  name=f"oopp-m{machine_id}")
         # Kernel calls ride a dedicated lane so shutdown/quiesce/metric
         # gathers land even when every worker is busy or blocked.
-        self.kernel_executor = ThreadPoolExecutor(
-            max_workers=2, thread_name_prefix=f"oopp-m{machine_id}-kernel")
-        self._conn_channels: list[SocketChannel] = []
+        self.kernel_workers = WorkerPool(2, name=f"oopp-m{machine_id}-kernel")
+        self._conns: list[_ServedConnection] = []
         self._conn_lock = threading.Lock()
 
     def options_for_peer(self, machine: int) -> WireOptions:
@@ -542,20 +592,21 @@ class MachineServer:
                                          name="oopp-accept", daemon=True)
         accept_thread.start()
         self.kernel.stop_event.wait()
-        # Grace period: let in-flight responses (including the reply to
-        # the shutdown request itself) drain.
+        # Let in-flight calls finish and every reply (including the one
+        # to the shutdown request itself) reach the wire.
+        deadline = time.monotonic() + self.config.shutdown_timeout_s
         self.table.quiesce(timeout=self.config.shutdown_timeout_s)
-        time.sleep(0.05)
         try:
             self.listener.close()
         except OSError:
             pass
         with self._conn_lock:
-            channels = list(self._conn_channels)
-        for ch in channels:
-            ch.close()
-        self.executor.shutdown(wait=False, cancel_futures=True)
-        self.kernel_executor.shutdown(wait=False, cancel_futures=True)
+            conns = list(self._conns)
+        for conn in conns:
+            conn.drain(deadline)
+            conn.channel.close()
+        self.workers.shutdown()
+        self.kernel_workers.shutdown()
         self.outbound.close()
 
     def _accept_loop(self) -> None:
@@ -565,26 +616,20 @@ class MachineServer:
                 sock, _ = self.listener.accept()
             except OSError:
                 return  # listener closed
-            channel = SocketChannel(sock, options=options)
+            conn = _ServedConnection(SocketChannel(sock, options=options),
+                                     self.config.wire,
+                                     name=f"oopp-m{self.machine_id}-reply")
             with self._conn_lock:
-                self._conn_channels.append(channel)
-            threading.Thread(target=self._connection_loop, args=(channel,),
+                self._conns.append(conn)
+            threading.Thread(target=self._connection_loop, args=(conn,),
                              name="oopp-conn", daemon=True).start()
 
-    def _connection_loop(self, channel: SocketChannel) -> None:
-        # Replies from the worker pool funnel through one coalescer per
-        # connection, so a burst of small responses also batches.
-        sender: Optional[CoalescingSender] = None
-        if self.config.wire.coalesce:
-            sender = CoalescingSender(
-                channel,
-                max_msgs=self.config.wire.coalesce_max_msgs,
-                max_bytes=self.config.wire.coalesce_max_bytes,
-                name=f"oopp-m{self.machine_id}-reply")
-        reply_send = sender.send if sender is not None else channel.send
+    def _connection_loop(self, conn: _ServedConnection) -> None:
+        channel, reply_send = conn.channel, conn.reply
         try:
             with context_scope(self.context):
                 while True:
+                    msg = None  # hold no payload (shm) while blocked
                     try:
                         msg = channel.recv()
                     except (ChannelClosedError, TransportError, OSError):
@@ -595,6 +640,8 @@ class MachineServer:
                         channel.close()
                         return
                     if isinstance(msg, Request):
+                        if not msg.oneway:
+                            conn.received()
                         if msg.object_id == KERNEL_OID:
                             # shutdown and ping are non-blocking by
                             # construction (set an event / return an
@@ -607,7 +654,7 @@ class MachineServer:
                             if msg.method in _INLINE_KERNEL_METHODS:
                                 self._serve_request(reply_send, msg)
                                 continue
-                            self.kernel_executor.submit(
+                            self.kernel_workers.submit(
                                 self._serve_request, reply_send, msg)
                             continue
                         # Admission happens here, on the reader thread:
@@ -620,14 +667,14 @@ class MachineServer:
                             self._reply_shed(reply_send, msg, exc)
                             continue
                         try:
-                            self.executor.submit(self._serve_request,
-                                                 reply_send, msg, True)
+                            self.workers.submit(self._serve_request,
+                                                reply_send, msg, True)
                         except RuntimeError:  # pool shut down mid-stream
                             self.policy.cancel_admit(msg.object_id)
                             raise
         finally:
-            if sender is not None:
-                sender.close(timeout=1.0)
+            if conn.sender is not None:
+                conn.sender.close(timeout=1.0)
 
     def _reply_shed(self, reply_send, request: Request,
                     exc: ServerOverloadedError) -> None:
@@ -673,6 +720,9 @@ def _worker_main(machine_id: int, config: Config, bootstrap) -> None:
     server.serve_forever()
     log.info("machine %d stopped (%d calls served)", machine_id,
              server.kernel.calls_served)
+    # A forked child leaves through os._exit; no atexit sweep will run.
+    shm.manager().shutdown()
+    pub.registry().shutdown()
 
 
 # ---------------------------------------------------------------------------

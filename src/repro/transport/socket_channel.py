@@ -403,6 +403,11 @@ class SocketChannel(Channel):
             pass
 
     @property
+    def rx_backlog(self) -> int:
+        """Decoded BATCH messages ``recv`` has not handed out yet (a hint)."""
+        return len(self._rx_pending)
+
+    @property
     def stats(self) -> dict:
         """Traffic counters for diagnostics and benchmarks."""
         return {
