@@ -113,7 +113,6 @@ from .runtime import (
     Protocol,
     describe_protocol,
     protocol_of,
-    validate_remote_class,
 )
 from .runtime.sync import Rendezvous, Latch, Mailbox
 from .backends import available_backends, register_backend
@@ -202,7 +201,6 @@ __all__ = [
     "Protocol",
     "describe_protocol",
     "protocol_of",
-    "validate_remote_class",
     "CachingPageDevice",
     "Rendezvous",
     "Latch",

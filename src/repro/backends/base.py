@@ -8,17 +8,21 @@ against this interface and therefore works identically on all backends.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from functools import partial
+from typing import Any, Callable, Optional
 
 from ..config import Config, ConfigError
 from ..errors import (NoSuchMachineError, ObjectMovedError,
                       RemoteExecutionError, SerializationError)
 from ..obs.metrics import counters, snapshot_process
+from ..obs.tracer import current_span_id
 from ..runtime.futures import RemoteFuture, retry_call
 from ..runtime.oid import ObjectRef, class_spec
 from ..runtime.proxy import Proxy, is_idempotent
 from ..transport import pub, serde
-from ..transport.message import KERNEL_OID, ErrorResponse
+from ..transport.message import (KERNEL_OID, ErrorResponse, Request,
+                                 Response)
+from ..util.ids import IdAllocator
 
 
 def _approx_nominal(value: Any, protocol: int) -> int:
@@ -69,13 +73,43 @@ def exception_from_error(err: ErrorResponse) -> BaseException:
     )
 
 
+def complete(future: RemoteFuture, reply: "Response | ErrorResponse") -> None:
+    """Wake the caller: the last step of every call, on every backend.
+
+    The reply's clock is attached before completion so a consumer woken
+    by ``set_result`` always sees it.
+    """
+    future._check_clock = reply.clock
+    if type(reply) is Response:
+        future.set_result(reply.value)
+    else:
+        future.set_exception(exception_from_error(reply))
+
+
+def _close_client_span(tracer, span, future: RemoteFuture) -> None:
+    exc = future.exception(0)
+    tracer.finish_client(
+        span, error=None if exc is None else type(exc).__name__)
+
+
+#: a backend's *transmit* step: carry ``request`` toward ``ref`` and
+#: arrange for :func:`complete` to fire on ``future`` (``None`` for a
+#: oneway call) when the reply is in.
+Transmit = Callable[[ObjectRef, Request, Optional[RemoteFuture]], None]
+
+
 class Fabric:
     """Base class for all backends."""
+
+    #: how a waiter blocks: the future class :meth:`_issue` creates
+    #: (the sim backend substitutes one that waits in simulated time).
+    new_future: Callable[..., RemoteFuture] = RemoteFuture
 
     def __init__(self, config: Config) -> None:
         config.validate()
         self.config = config
         self._closed = False
+        self._request_ids = IdAllocator()
         #: driver-side span recorder; concrete backends create one via
         #: :func:`repro.obs.tracer.make_tracer` when ``config.trace`` is set.
         self.tracer = None
@@ -146,6 +180,78 @@ class Fabric:
                     kwargs: dict) -> None:
         raise NotImplementedError
 
+    def _issue(self, ref: ObjectRef, method: str, args: tuple, kwargs: dict,
+               oneway: bool, transmit: Transmit, *, caller: int = -1,
+               local: bool = False, queued_at: Optional[float] = None
+               ) -> Optional[RemoteFuture]:
+        """The client half of a call, the same on every backend: open
+        the client span, take a request id, stamp the vector clock,
+        build the :class:`Request`, make the future (consume hook,
+        span-closing callback) and hand both to the backend's
+        *transmit* step.  :func:`complete` is the matching reply half.
+
+        *caller* is the issuing machine (-1 = the driver).  A *local*
+        call — caller and callee on one machine, no wire — opens no
+        client span: its server span parents straight to whatever span
+        this thread is executing under.  It still ticks the clock, so
+        co-located conflicting calls stay visible to the race detector.
+        *queued_at* backdates the span's ``t_queued`` for a backend
+        that charged modeled send cost before getting here.
+        """
+        tracer = self.tracer
+        checker = self.checker
+        span = None
+        span_id = None
+        if tracer is not None:
+            if local:
+                span_id = current_span_id()
+            elif tracer.wants(method):
+                span = tracer.start_client(peer=ref.machine, oid=ref.oid,
+                                           method=method, machine=caller)
+                if queued_at is not None:
+                    span.t_queued = queued_at
+                span_id = span.span_id
+        request = Request(request_id=self._request_ids.next(),
+                          object_id=ref.oid, method=method, args=args,
+                          kwargs=kwargs, oneway=oneway, caller=caller,
+                          span=span_id,
+                          clock=None if checker is None else checker.on_send())
+        future = None
+        if not oneway:
+            future = self.new_future(
+                label=f"m{caller}->m{ref.machine}#{ref.oid}.{method}")
+            if checker is not None:
+                future._consume_hook = checker.on_consume
+            if span is not None:
+                # Completion (reply, connection loss, send failure) runs
+                # on the completing thread and closes the client span.
+                future.add_done_callback(
+                    partial(_close_client_span, tracer, span))
+        if span is not None:
+            # Stamped before the hand-off so a fast reply (completing on
+            # another thread) can never close the span before it is sent.
+            span.t_sent = tracer.now()
+        try:
+            transmit(ref, request, future)
+        except BaseException as exc:
+            if span is not None and (future is None or not future.done()):
+                tracer.finish_client(span, error=type(exc).__name__,
+                                     replied=False)
+            raise
+        return future
+
+    def _execute_here(self, dispatcher, request: Request
+                      ) -> "Response | ErrorResponse | None":
+        """Transmit to a callee in this process: run *request* on the
+        calling thread.  Execution is synchronous, so the caller
+        observes the reply right here and the happens-before edge is
+        acquired at once (error replies included — raising *is* the
+        wait)."""
+        reply = dispatcher.execute(request)
+        if reply is not None and self.checker is not None:
+            self.checker.on_consume(reply.clock)
+        return reply
+
     def forwarded_ref(self, ref: ObjectRef,
                       exc: ObjectMovedError) -> Optional[ObjectRef]:
         """Rebuild *ref* from a forwarding error raised against it.
@@ -186,19 +292,27 @@ class Fabric:
         """
         timeout = (timeout if timeout is not None
                    else self.config.call_timeout_s)
-        hops_left = self.config.migrate.max_hops
+        hop = 0
         while True:
             try:
                 return self._call_once(ref, method, args, kwargs, timeout)
             except ObjectMovedError as exc:
-                fwd = self.forwarded_ref(ref, exc)
-                if fwd is None or hops_left <= 0:
-                    raise
-                hops_left -= 1
-                counters().inc("migrate.hops")
-                ref = fwd
-                if on_move is not None:
-                    on_move(ref)
+                hop += 1
+                ref = self._forward(ref, exc, hop, on_move)
+
+    def _forward(self, ref: ObjectRef, exc: ObjectMovedError, hop: int,
+                 on_move=None) -> ObjectRef:
+        """The one forwarding hop: where to re-issue a call to *ref*
+        after *exc*, its *hop*-th forwarding error.  Re-raises *exc*
+        when it names no forward for *ref* or the call has used its
+        ``config.migrate.max_hops``."""
+        fwd = self.forwarded_ref(ref, exc)
+        if fwd is None or hop > self.config.migrate.max_hops:
+            raise exc
+        counters().inc("migrate.hops")
+        if on_move is not None:
+            on_move(fwd)
+        return fwd
 
     def _call_once(self, ref: ObjectRef, method: str, args: tuple,
                    kwargs: dict, timeout: Optional[float]) -> Any:
@@ -254,18 +368,14 @@ class Fabric:
         like any call, it is re-issued at the new address (bounded by
         ``config.migrate.max_hops``) so exactly one replica dies.
         """
-        hops_left = self.config.migrate.max_hops
+        hop = 0
         while True:
             try:
                 self.kernel_call(ref.machine, "destroy", ref.oid)
                 return
             except ObjectMovedError as exc:
-                fwd = self.forwarded_ref(ref, exc)
-                if fwd is None or hops_left <= 0:
-                    raise
-                hops_left -= 1
-                counters().inc("migrate.hops")
-                ref = fwd
+                hop += 1
+                ref = self._forward(ref, exc, hop)
 
     def ping(self, machine: int) -> int:
         return self.kernel_call(machine, "ping")
@@ -404,25 +514,20 @@ class _ForwardedCall(RemoteFuture):
         super().__init__(label=f"fwd:{method}")
         self._fabric = fabric
         self._target = ref
-        self._method = method
-        self._args = args
-        self._kwargs = kwargs
+        self._call = (method, args, kwargs)
         self._on_move = on_move
-        self._hops_left = fabric.config.migrate.max_hops
+        self._hops = 0
         self._inner = fabric.call_async(ref, method, args, kwargs)
 
     def _hop(self, exc: ObjectMovedError) -> bool:
         """Re-issue at the forwarded address; False when exc must surface."""
-        fwd = self._fabric.forwarded_ref(self._target, exc)
-        if fwd is None or self._hops_left <= 0:
+        try:
+            self._target = self._fabric._forward(
+                self._target, exc, self._hops + 1, self._on_move)
+        except ObjectMovedError:
             return False
-        self._hops_left -= 1
-        counters().inc("migrate.hops")
-        self._target = fwd
-        if self._on_move is not None:
-            self._on_move(fwd)
-        self._inner = self._fabric.call_async(
-            fwd, self._method, self._args, self._kwargs)
+        self._hops += 1
+        self._inner = self._fabric.call_async(self._target, *self._call)
         return True
 
     def result(self, timeout: Optional[float] = None) -> Any:

@@ -15,38 +15,19 @@ before the compiler's loop-splitting is applied.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Optional
 
 from ..check.checker import make_checker
 from ..config import Config
 from ..errors import MachineDownError
 from ..obs.tracer import make_tracer
 from ..runtime.context import fabric_scope
-from ..runtime.futures import RemoteFuture, completed_future, failed_future
+from ..runtime.futures import RemoteFuture, failed_future
 from ..runtime.oid import ObjectRef
-from ..runtime.server import Dispatcher, Kernel, ObjectTable, ServePolicy
+from ..runtime.server import MachineCore, ObjectTable
 from ..transport import serde
-from ..transport.message import ErrorResponse, Request
-from ..util.ids import IdAllocator
-from .base import Fabric, exception_from_error
-
-
-class _VirtualMachine:
-    """One in-process machine: table + kernel + dispatcher."""
-
-    def __init__(self, machine_id: int, fabric: "InlineFabric") -> None:
-        self.machine_id = machine_id
-        self.table = ObjectTable(
-            forward_buffer=fabric.config.migrate.forward_buffer)
-        self.kernel = Kernel(machine_id, self.table)
-        self.kernel.tracer = fabric.tracer
-        self.kernel.checker = fabric.checker
-        self.policy = ServePolicy(fabric.config.serve, machine=machine_id)
-        self.kernel.policy = self.policy
-        self.dispatcher = Dispatcher(machine_id, self.table, self.kernel,
-                                     fabric, tracer=fabric.tracer,
-                                     checker=fabric.checker,
-                                     policy=self.policy)
+from ..transport.message import Request, Response
+from .base import Fabric, complete
 
 
 class InlineFabric(Fabric):
@@ -63,8 +44,8 @@ class InlineFabric(Fabric):
         # their own machine ids).
         self.tracer = make_tracer(config, node=-1)
         self.checker = make_checker(config, node=-1)
-        self._machines = [_VirtualMachine(i, self) for i in range(config.n_machines)]
-        self._request_ids = IdAllocator()
+        self._machines = [MachineCore(i, self)
+                          for i in range(config.n_machines)]
 
     # -- internals ----------------------------------------------------------
 
@@ -78,66 +59,39 @@ class InlineFabric(Fabric):
         with fabric_scope(self, machine_id=machine_id):
             return serde.loads(header, frozen)
 
+    def _transmit(self, ref: ObjectRef, request: Request,
+                  future: Optional[RemoteFuture]) -> None:
+        """The wire is a copy: arguments in, execute on this thread,
+        result back out."""
+        request.args = self._copy(request.args, ref.machine)
+        request.kwargs = self._copy(request.kwargs, ref.machine)
+        reply = self._execute_here(self._machines[ref.machine].dispatcher,
+                                   request)
+        if reply is None:
+            return
+        if type(reply) is Response:
+            # The result is produced under the target machine's context;
+            # copy it back under the *caller's* context so contained
+            # proxies bind to... the same fabric (inline has only one),
+            # but the copy still enforces isolation.
+            reply.value = self._copy(reply.value, ref.machine)
+        complete(future, reply)
+
     def _dispatch(self, ref: ObjectRef, method: str, args: tuple,
-                  kwargs: dict, *, oneway: bool) -> Any:
+                  kwargs: dict, *, oneway: bool) -> Optional[RemoteFuture]:
         if self._closed:
             raise MachineDownError("cluster is shut down")
-        machine = self._machines[self.check_machine(ref.machine)]
-        tracer = self.tracer
-        span = None
-        if tracer is not None and tracer.wants(method):
-            span = tracer.start_client(peer=ref.machine, oid=ref.oid,
-                                       method=method)
-            # Calls execute synchronously: queueing and sending coincide.
-            span.t_sent = span.t_queued
-        checker = self.checker
-        request = Request(
-            request_id=self._request_ids.next(),
-            object_id=ref.oid,
-            method=method,
-            args=self._copy(args, ref.machine),
-            kwargs=self._copy(kwargs, ref.machine),
-            oneway=oneway,
-            span=None if span is None else span.span_id,
-            clock=None if checker is None else checker.on_send(),
-        )
-        try:
-            reply = machine.dispatcher.execute(request)
-        except BaseException as exc:
-            if span is not None:
-                tracer.finish_client(span, error=type(exc).__name__)
-            raise
-        if checker is not None and reply is not None:
-            # Synchronous execution: the caller observes the reply right
-            # here, so the happens-before edge is acquired immediately
-            # (error replies included — the raise below *is* the wait).
-            checker.on_consume(reply.clock)
-        if span is not None:
-            tracer.finish_client(
-                span,
-                error=(reply.type_name
-                       if isinstance(reply, ErrorResponse) else None))
-        if oneway:
-            return None
-        if isinstance(reply, ErrorResponse):
-            raise exception_from_error(reply)
-        assert reply is not None
-        # The result is produced under the target machine's context; copy
-        # it back under the *caller's* context so contained proxies bind
-        # to... the same fabric (inline has only one), but the copy still
-        # enforces isolation.
-        return self._copy(reply.value, ref.machine)
+        self.check_machine(ref.machine)
+        return self._issue(ref, method, args, kwargs, oneway, self._transmit)
 
     # -- Fabric interface ------------------------------------------------------
 
     def call_async(self, ref: ObjectRef, method: str, args: tuple,
                    kwargs: dict) -> RemoteFuture:
-        label = f"machine{ref.machine}#{ref.oid}.{method}"
         try:
-            value = self._dispatch(ref, method, args, kwargs, oneway=False)
+            return self._dispatch(ref, method, args, kwargs, oneway=False)
         except BaseException as exc:  # noqa: BLE001 - delivered via future
-            return failed_future(exc, label=label)
-        return completed_future(value, label=label)
+            return failed_future(exc, label=method)
 
     def call_oneway(self, ref: ObjectRef, method: str, args: tuple,
                     kwargs: dict) -> None:

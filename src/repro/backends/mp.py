@@ -41,12 +41,12 @@ from ..errors import (
 )
 from ..obs.metrics import snapshot_process
 from ..obs.span import Span
-from ..obs.tracer import current_span_id, make_tracer
+from ..obs.tracer import make_tracer
 from ..runtime.context import RuntimeContext, context_scope, set_default_context
-from ..runtime.futures import RemoteFuture, completed_future, failed_future
+from ..runtime.futures import RemoteFuture, failed_future
 from ..runtime.oid import ObjectRef
 from ..runtime.proxy import PING_METHOD
-from ..runtime.server import Dispatcher, Kernel, ObjectTable, ServePolicy
+from ..runtime.server import Kernel, MachineCore, ObjectTable
 from ..transport.message import (
     KERNEL_OID,
     ErrorResponse,
@@ -57,14 +57,12 @@ from ..transport.message import (
 )
 from ..transport.channel import Channel
 from ..transport.coalesce import CoalescingSender
-from ..transport.faults import FaultPlan
 from ..transport import pub, shm
 from ..transport.socket_channel import SocketChannel, WireOptions, listen_socket
 from ..util.hostid import host_fingerprint
-from ..util.ids import IdAllocator
 from ..util.log import get_logger
 from ..util.pool import WorkerPool
-from .base import Fabric, exception_from_error
+from .base import Fabric, complete
 
 log = get_logger("mp")
 
@@ -92,7 +90,7 @@ _INLINE_KERNEL_METHODS = frozenset({"shutdown", "ping", PING_METHOD})
 class _Connection:
     """One dialed connection with a response-demux reader thread.
 
-    When ``Config.wire_coalesce`` is on, outbound messages go through a
+    When ``Config.wire.coalesce`` is on, outbound messages go through a
     :class:`~repro.transport.coalesce.CoalescingSender`, so a burst of
     pipelined requests leaves as one BATCH frame; a flush failure fails
     every pending future, same as a broken socket.  The only request
@@ -101,7 +99,7 @@ class _Connection:
     """
 
     def __init__(self, channel: Channel, owner: "PeerClient",
-                 machine: int, config: Optional[Config] = None) -> None:
+                 machine: int, config: Config) -> None:
         self.channel = channel
         self.machine = machine
         self._owner = owner
@@ -110,7 +108,7 @@ class _Connection:
         self._pending: dict[int, tuple[RemoteFuture, int]] = {}
         self._dead: Optional[BaseException] = None
         self._sender: Optional[CoalescingSender] = None
-        if config is not None and config.wire.coalesce:
+        if config.wire.coalesce:
             self._sender = CoalescingSender(
                 channel,
                 max_msgs=config.wire.coalesce_max_msgs,
@@ -121,22 +119,31 @@ class _Connection:
             target=self._read_loop, name=f"oopp-demux-m{machine}", daemon=True)
         self._reader.start()
 
-    def send(self, msg, alone: bool = False) -> None:
-        """Outbound path: through the coalescer when enabled."""
-        if self._sender is not None:
-            self._sender.send(msg, alone=alone)
-        else:
-            self.channel.send(msg)
-
-    def register(self, request_id: int, future: RemoteFuture,
-                 oid: int) -> bool:
-        """Track the call; True when it is the only one awaiting a reply."""
-        with self._lock:
-            if self._dead is not None:
-                raise MachineDownError(str(self._dead), machine=self.machine,
-                                       oid=oid)
-            self._pending[request_id] = (future, oid)
-            return len(self._pending) == 1
+    def transmit(self, ref: ObjectRef, request: Request,
+                 future: Optional[RemoteFuture]) -> None:
+        """The socket backends' transmit step: track the call, then
+        write it — through when it is the only one awaiting a reply."""
+        alone = False
+        if future is not None:
+            with self._lock:
+                if self._dead is not None:
+                    raise MachineDownError(str(self._dead),
+                                           machine=self.machine, oid=ref.oid)
+                self._pending[request.request_id] = (future, ref.oid)
+                alone = len(self._pending) == 1
+        try:
+            if self._sender is not None:
+                self._sender.send(request, alone=alone)
+            else:
+                self.channel.send(request)
+        except (ChannelClosedError, TransportError, OSError) as exc:
+            err = MachineDownError(
+                f"send to machine {self.machine} failed: {exc}",
+                machine=self.machine, oid=ref.oid)
+            if future is None:
+                raise err from exc
+            if not future.done():
+                future.set_exception(err)
 
     def _read_loop(self) -> None:
         ctx = self._owner.decode_context
@@ -156,13 +163,7 @@ class _Connection:
                     if entry is None:
                         continue  # response to a cancelled/timed-out call
                     future, _ = entry
-                    # Attached before completion so a consumer woken by
-                    # set_result always sees the reply's clock.
-                    future._check_clock = msg.clock
-                    if isinstance(msg, Response):
-                        future.set_result(msg.value)
-                    else:
-                        future.set_exception(exception_from_error(msg))
+                    complete(future, msg)
                 elif isinstance(msg, Goodbye):
                     self._fail_all(ChannelClosedError("peer said goodbye"))
                     return
@@ -202,33 +203,40 @@ class _Connection:
 
 
 class PeerClient:
-    """Connection cache + calling convention toward a set of machines.
+    """Connection cache toward a set of machines.
 
     Used by the driver (caller id -1) and by every machine (caller id =
-    its machine id) for outbound calls.
+    its machine id) for outbound calls: the owning fabric issues each
+    call through the :meth:`_Connection.transmit` of :meth:`connection`.
     """
 
     def __init__(self, caller: int, decode_context: RuntimeContext,
-                 fault_plan: Optional[FaultPlan] = None,
-                 config: Optional[Config] = None, tracer=None,
-                 checker=None, wire_options_for=None) -> None:
+                 config: Config) -> None:
         self.caller = caller
         self.decode_context = decode_context
-        self.fault_plan = fault_plan
         self.config = config
-        self.tracer = tracer
-        self.checker = checker
-        #: optional ``machine -> WireOptions`` hook; host-aware backends
-        #: use it to downgrade shm/pub for peers on other hosts.
-        self.wire_options_for = wire_options_for
+        #: machine id -> fingerprint of the host it runs on (tcp backend;
+        #: empty on mp, where every peer is local by construction).
+        self.fingerprints: dict[int, str] = {}
         self._addrs: dict[int, tuple[str, int]] = {}
         self._conns: dict[int, _Connection] = {}
         #: machines declared dead by the liveness monitor: fail fast
         #: instead of burning the connect timeout on every call.
         self._down: dict[int, str] = {}
         self._lock = threading.Lock()
-        self._request_ids = IdAllocator()
         self._closed = False
+
+    def options_for(self, machine: int) -> WireOptions:
+        """Wire options for dialing *machine*: the config's fast path,
+        minus shm/pub descriptors when the peer lives on another host
+        (its fingerprint differs from ours) — those name segments in
+        the sender host's ``/dev/shm``."""
+        base = WireOptions.from_config(self.config)
+        fp = self.fingerprints.get(machine)
+        if fp is not None and fp != host_fingerprint():
+            return dataclasses.replace(base, shm_enabled=False,
+                                       pub_descriptors=False)
+        return base
 
     def set_addrs(self, addrs: dict[int, tuple[str, int]]) -> None:
         with self._lock:
@@ -257,14 +265,19 @@ class PeerClient:
         with self._lock:
             self._down.pop(machine, None)
 
-    def _check_down(self, machine: int, oid: Optional[int] = None) -> None:
+    def is_down(self, machine: int) -> bool:
+        return machine in self._down
+
+    def connection(self, machine: int,
+                   oid: Optional[int] = None) -> _Connection:
+        """The live connection to *machine*, dialing when there is none;
+        :class:`MachineDownError` (naming *oid*, the object the call is
+        for) when the machine is down or unreachable."""
         reason = self._down.get(machine)
         if reason is not None:
             raise MachineDownError(
                 f"machine {machine} is down: {reason}", machine=machine,
                 oid=oid)
-
-    def _connect(self, machine: int) -> _Connection:
         with self._lock:
             if self._closed:
                 raise MachineDownError("client closed", machine=machine)
@@ -272,25 +285,19 @@ class PeerClient:
             if conn is not None and not conn.dead:
                 return conn
             addr = self._addrs.get(machine)
-        self._check_down(machine)
         if addr is None:
             raise MachineDownError(f"no address known for machine {machine}",
                                    machine=machine)
-        if self.wire_options_for is not None:
-            options = self.wire_options_for(machine)
-        else:
-            options = (WireOptions.from_config(self.config)
-                       if self.config is not None else None)
         try:
-            channel: Channel = SocketChannel.connect(addr[0], addr[1],
-                                                     timeout=10.0,
-                                                     options=options)
+            channel: Channel = SocketChannel.connect(
+                addr[0], addr[1], timeout=10.0,
+                options=self.options_for(machine))
         except TransportError as exc:
             raise MachineDownError(
                 f"cannot reach machine {machine} at {addr}: {exc}",
                 machine=machine) from exc
-        if self.fault_plan is not None:
-            channel = self.fault_plan.wrap(
+        if self.config.fault_plan is not None:
+            channel = self.config.fault_plan.wrap(
                 channel, label=f"m{self.caller}->m{machine}")
         channel.send(Hello(caller=self.caller))
         conn = _Connection(channel, self, machine, config=self.config)
@@ -301,57 +308,6 @@ class PeerClient:
                 return existing
             self._conns[machine] = conn
         return conn
-
-    def send_request(self, ref: ObjectRef, method: str, args: tuple,
-                     kwargs: dict, *, oneway: bool = False) -> Optional[RemoteFuture]:
-        self._check_down(ref.machine, ref.oid)
-        conn = self._connect(ref.machine)
-        request_id = self._request_ids.next()
-        tracer = self.tracer
-        span = None
-        if tracer is not None and tracer.wants(method):
-            span = tracer.start_client(peer=ref.machine, oid=ref.oid,
-                                       method=method)
-        checker = self.checker
-        future: Optional[RemoteFuture] = None
-        alone = False
-        if not oneway:
-            future = RemoteFuture(
-                label=f"machine{ref.machine}#{ref.oid}.{method}")
-            if checker is not None:
-                future._consume_hook = checker.on_consume
-            alone = conn.register(request_id, future, ref.oid)
-            if span is not None:
-                # Completion (reply, connection loss, send failure) runs
-                # on the completing thread and closes the client span.
-                future.add_done_callback(
-                    lambda f, s=span: tracer.finish_client(
-                        s, error=(type(f.exception(0)).__name__
-                                  if f.exception(0) is not None else None)))
-        request = Request(request_id=request_id, object_id=ref.oid,
-                          method=method, args=args, kwargs=kwargs,
-                          oneway=oneway, caller=self.caller,
-                          span=None if span is None else span.span_id,
-                          clock=None if checker is None else checker.on_send())
-        if span is not None:
-            # Stamped before the write so a fast reply (on the demux
-            # thread) can never finish the span before it is "sent".
-            span.t_sent = tracer.now()
-        try:
-            conn.send(request, alone)
-        except (ChannelClosedError, TransportError, OSError) as exc:
-            err = MachineDownError(
-                f"send to machine {ref.machine} failed: {exc}",
-                machine=ref.machine, oid=ref.oid)
-            if future is not None and not future.done():
-                future.set_exception(err)
-                return future
-            if future is None:
-                if span is not None:
-                    tracer.finish_client(span, error="MachineDownError",
-                                         replied=False)
-                raise err from exc
-        return future
 
     def traffic(self) -> dict:
         """Aggregate wire counters over all live connections."""
@@ -396,7 +352,7 @@ class MachineKernel(Kernel):
         """
         self._server.outbound.set_addrs(addrs)
         if fingerprints:
-            self._server.peer_fingerprints.update(fingerprints)
+            self._server.outbound.fingerprints.update(fingerprints)
         self._server.peer_count = max(self._server.peer_count,
                                       1 + max(addrs, default=-1))
         return True
@@ -418,49 +374,29 @@ class MachineFabric(Fabric):
     def machine_count(self) -> int:
         return self._server.peer_count
 
+    def _send(self, ref: ObjectRef, method: str, args: tuple, kwargs: dict,
+              oneway: bool) -> Optional[RemoteFuture]:
+        me = self._server.machine_id
+        if ref.machine == me:
+            return self._issue(ref, method, args, kwargs, oneway,
+                               self._transmit_local, caller=me, local=True)
+        conn = self._server.outbound.connection(ref.machine, ref.oid)
+        return self._issue(ref, method, args, kwargs, oneway, conn.transmit,
+                           caller=me)
+
+    def _transmit_local(self, ref: ObjectRef, request: Request,
+                        future: Optional[RemoteFuture]) -> None:
+        reply = self._execute_here(self._server.dispatcher, request)
+        if reply is not None:
+            complete(future, reply)
+
     def call_async(self, ref: ObjectRef, method: str, args: tuple,
                    kwargs: dict) -> RemoteFuture:
-        if ref.machine == self._server.machine_id:
-            label = f"local#{ref.oid}.{method}"
-            checker = self._server.checker
-            # No wire, no client span — but the local server span still
-            # parents to whatever span this thread is executing under,
-            # and the local execution still ticks/merges clocks so
-            # co-located conflicting calls stay visible to the detector.
-            request = Request(request_id=self._server.local_ids.next(),
-                              object_id=ref.oid, method=method,
-                              args=args, kwargs=kwargs,
-                              caller=self._server.machine_id,
-                              span=current_span_id(),
-                              clock=(None if checker is None
-                                     else checker.on_send()))
-            reply = self._server.dispatcher.execute(request)
-            if checker is not None and reply is not None:
-                # synchronous execution: the reply edge is acquired here
-                checker.on_consume(reply.clock)
-            if isinstance(reply, ErrorResponse):
-                return failed_future(exception_from_error(reply), label=label)
-            assert reply is not None
-            return completed_future(reply.value, label=label)
-        future = self._server.outbound.send_request(ref, method, args, kwargs)
-        assert future is not None
-        return future
+        return self._send(ref, method, args, kwargs, False)
 
     def call_oneway(self, ref: ObjectRef, method: str, args: tuple,
                     kwargs: dict) -> None:
-        if ref.machine == self._server.machine_id:
-            checker = self._server.checker
-            request = Request(request_id=self._server.local_ids.next(),
-                              object_id=ref.oid, method=method,
-                              args=args, kwargs=kwargs, oneway=True,
-                              caller=self._server.machine_id,
-                              span=current_span_id(),
-                              clock=(None if checker is None
-                                     else checker.on_send()))
-            self._server.dispatcher.execute(request)
-            return
-        self._server.outbound.send_request(ref, method, args, kwargs,
-                                           oneway=True)
+        self._send(ref, method, args, kwargs, True)
 
 
 class _ServedConnection:
@@ -508,19 +444,14 @@ class _ServedConnection:
             self.sender.flush(deadline - time.monotonic())
 
 
-class MachineServer:
-    """The object server of one machine process."""
+class MachineServer(MachineCore):
+    """The object server of one machine process: the machine core plus
+    its sockets — a listener, the outbound peer client, worker pools."""
 
     def __init__(self, machine_id: int, config: Config,
                  bind_host: str = DEFAULT_HOST) -> None:
-        self.machine_id = machine_id
         self.config = config
         self.peer_count = config.n_machines
-        #: machine id -> host fingerprint of the box it runs on (tcp
-        #: backend; empty on mp, where every peer is local by
-        #: construction).  Consulted when dialing a peer to decide
-        #: whether shm/pub descriptors may cross that connection.
-        self.peer_fingerprints: dict[int, str] = {}
         #: this process's span recorder (None when tracing is off); the
         #: driver collects it through the kernel's take_spans method.
         self.tracer = make_tracer(config, node=machine_id)
@@ -529,31 +460,15 @@ class MachineServer:
         #: Per-machine detection is complete: an object lives on exactly
         #: one machine and every access to it executes here.
         self.checker = make_checker(config, node=machine_id)
-        #: request ids for locally short-circuited calls (no wire, but
-        #: race reports still want a distinguishable id).
-        self.local_ids = IdAllocator()
-        self.table = ObjectTable(
-            forward_buffer=config.migrate.forward_buffer)
-        self.kernel = MachineKernel(machine_id, self.table, self)
-        self.kernel.tracer = self.tracer
-        self.kernel.checker = self.checker
         self.fabric = MachineFabric(config, self)
         self.fabric.tracer = self.tracer
         self.fabric.checker = self.checker
+        super().__init__(
+            machine_id, self.fabric,
+            kernel=lambda mid, table: MachineKernel(mid, table, self))
         self.context = RuntimeContext(fabric=self.fabric, machine_id=machine_id)
         self.outbound = PeerClient(caller=machine_id,
-                                   decode_context=self.context,
-                                   fault_plan=config.fault_plan,
-                                   config=config,
-                                   tracer=self.tracer,
-                                   checker=self.checker,
-                                   wire_options_for=self.options_for_peer)
-        self.policy = ServePolicy(config.serve, machine=machine_id)
-        self.kernel.policy = self.policy
-        self.dispatcher = Dispatcher(machine_id, self.table, self.kernel,
-                                     self.fabric, tracer=self.tracer,
-                                     checker=self.checker,
-                                     policy=self.policy)
+                                   decode_context=self.context, config=config)
         self.listener = listen_socket(bind_host, 0)
         self.port = self.listener.getsockname()[1]
         # serve.workers caps *executing* bodies via the policy's slots;
@@ -572,17 +487,6 @@ class MachineServer:
         self.kernel_workers = WorkerPool(2, name=f"oopp-m{machine_id}-kernel")
         self._conns: list[_ServedConnection] = []
         self._conn_lock = threading.Lock()
-
-    def options_for_peer(self, machine: int) -> WireOptions:
-        """Wire options for dialing *machine*: the config's fast path,
-        minus shm/pub descriptors when the peer lives on another host
-        (its fingerprint from set_peers differs from ours)."""
-        base = WireOptions.from_config(self.config)
-        fp = self.peer_fingerprints.get(machine)
-        if fp is not None and fp != host_fingerprint():
-            return dataclasses.replace(base, shm_enabled=False,
-                                       pub_descriptors=False)
-        return base
 
     # -- serving ------------------------------------------------------------
 
@@ -730,12 +634,14 @@ def _worker_main(machine_id: int, config: Config, bootstrap) -> None:
 # ---------------------------------------------------------------------------
 
 
-#: polling interval of the driver's machine-liveness monitor (seconds).
-LIVENESS_POLL_S = 0.2
-
-
-class MpFabric(Fabric):
-    """Driver-side fabric over a pool of machine processes."""
+class DriverFabric(Fabric):
+    """Driver side of a socket backend: the machines are
+    :class:`MachineServer` instances somewhere, reached through one
+    :class:`PeerClient`.  Calling, graceful shutdown and the per-machine
+    observability gathers live here; a subclass brings the machines up
+    (filling in the client's addresses), watches them, and implements
+    :meth:`_reap_machines`.
+    """
 
     def __init__(self, config: Config) -> None:
         super().__init__(config)
@@ -743,12 +649,152 @@ class MpFabric(Fabric):
         self.checker = make_checker(config, node=-1)
         self._context = RuntimeContext(fabric=self, machine_id=-1)
         self._client = PeerClient(caller=-1, decode_context=self._context,
-                                  fault_plan=config.fault_plan,
-                                  config=config, tracer=self.tracer,
-                                  checker=self.checker)
+                                  config=config)
+
+    # -- Fabric interface ---------------------------------------------------
+
+    def _send(self, ref: ObjectRef, method: str, args: tuple, kwargs: dict,
+              oneway: bool) -> Optional[RemoteFuture]:
+        conn = self._client.connection(ref.machine, ref.oid)
+        return self._issue(ref, method, args, kwargs, oneway, conn.transmit)
+
+    def call_async(self, ref: ObjectRef, method: str, args: tuple,
+                   kwargs: dict) -> RemoteFuture:
+        if self._closed:
+            return failed_future(MachineDownError("cluster is shut down"),
+                                 label=method)
+        self.check_machine(ref.machine)
+        try:
+            return self._send(ref, method, args, kwargs, False)
+        except MachineDownError as exc:
+            return failed_future(exc, label=method)
+
+    def call_oneway(self, ref: ObjectRef, method: str, args: tuple,
+                    kwargs: dict) -> None:
+        self.check_machine(ref.machine)
+        self._send(ref, method, args, kwargs, True)
+
+    def _set_peers(self) -> None:
+        """Hand every live machine the full peer table (addresses and
+        host fingerprints) so object→object calls can flow directly."""
+        client = self._client
+        futures = [
+            self.call_async(self.kernel_ref(m), "set_peers",
+                            (dict(client._addrs), dict(client.fingerprints)),
+                            {})
+            for m in client.known_machines if not client.is_down(m)]
+        for f in futures:
+            f.result(self.config.startup_timeout_s)
+
+    # -- lifecycle ------------------------------------------------------------
+
+    def close(self) -> None:
+        if self._closed:
+            return
+        self._closed = True
+        # Graceful: destroy hosted objects (running destructor hooks),
+        # then ask each machine to stop.  Machines already declared dead
+        # are skipped — no point waiting a shutdown timeout on a corpse.
+        for machine in range(self.machine_count):
+            if self.machine_down(machine):
+                continue
+            try:
+                for verb in ("destroy_all", "shutdown"):
+                    self._send(self.kernel_ref(machine), verb, (), {}, False
+                               ).result(self.config.shutdown_timeout_s)
+            except Exception:  # noqa: BLE001 - teardown
+                pass
+        self._client.close()
+        self._reap_machines()
+        # Unpin publications last (Fabric.close): the processes that
+        # attached them are gone by now, so the unlink cannot strand a
+        # reader.
+        super().close()
+
+    def _reap_machines(self) -> None:
+        """Wait for the (already shut down) machines' processes to exit,
+        killing what lingers."""
+        raise NotImplementedError
+
+    # -- observability --------------------------------------------------------
+
+    def _gather(self, verb: str):
+        """``(machine, reply)`` of kernel call *verb* on every machine,
+        the reply being the :class:`MachineDownError` for a machine
+        that is gone.  Machine processes lose their buffers at
+        shutdown, so gather before closing the cluster."""
+        if self._closed:
+            return
+        for machine in range(self.machine_count):
+            try:
+                yield machine, self.kernel_call(machine, verb)
+            except MachineDownError as exc:
+                yield machine, exc
+
+    def trace_spans(self) -> list:
+        """Driver spans + every reachable machine's spans.
+
+        A machine that is down contributes nothing (its spans died with
+        it); the driver-side client spans of the lost calls are still
+        here, unfinished — that asymmetry is the observable signature
+        of the failure.
+        """
+        spans = super().trace_spans()
+        if self.tracer is not None:
+            for _, dicts in self._gather("take_spans"):
+                if not isinstance(dicts, MachineDownError):
+                    spans.extend(Span.from_dict(d) for d in dicts)
+        return spans
+
+    def race_reports(self) -> list[dict]:
+        """Driver reports + every reachable machine's reports.
+
+        Method executions all happen on the machines, so nearly every
+        report comes from there.
+        """
+        reports = super().race_reports()
+        if self.checker is not None:
+            for _, taken in self._gather("take_race_reports"):
+                if not isinstance(taken, MachineDownError):
+                    reports.extend(taken)
+        return reports
+
+    def metrics(self) -> dict:
+        """Per-process metrics: driver plus each machine (by kernel call).
+
+        A dead machine reports ``{"down": <reason>}`` instead of
+        counters — the caller still gets one entry per machine.
+        """
+        out: dict = {"driver": {**snapshot_process(),
+                                "traffic": self.traffic()}}
+        for machine, snap in self._gather("obs_metrics"):
+            out[f"machine {machine}"] = (
+                {"down": str(snap)} if isinstance(snap, MachineDownError)
+                else snap)
+        return out
+
+    # -- diagnostics ---------------------------------------------------------------
+
+    def traffic(self) -> dict:
+        """Driver-side wire counters (frames/bytes in and out)."""
+        return self._client.traffic()
+
+    def machine_down(self, machine: int) -> bool:
+        """True when the liveness monitor has declared *machine* dead."""
+        return self._client.is_down(machine)
+
+
+#: polling interval of the driver's machine-liveness monitor (seconds).
+LIVENESS_POLL_S = 0.2
+
+
+class MpFabric(DriverFabric):
+    """Driver-side fabric over a pool of local machine processes."""
+
+    def __init__(self, config: Config) -> None:
+        super().__init__(config)
         self._procs: list[multiprocessing.Process] = []
         self._monitor_stop = threading.Event()
-        self._monitor: Optional[threading.Thread] = None
         self._spawn_machines()
         self._monitor = threading.Thread(target=self._monitor_loop,
                                          name="oopp-liveness", daemon=True)
@@ -783,14 +829,7 @@ class MpFabric(Fabric):
             addrs[machine_id] = (DEFAULT_HOST, port)
             conn.close()
         self._client.set_addrs(addrs)
-        # Hand every machine the full peer table so object→object calls
-        # can flow directly.
-        futures = [
-            self.call_async(self.kernel_ref(m), "set_peers", (addrs,), {})
-            for m in addrs
-        ]
-        for f in futures:
-            f.result(self.config.startup_timeout_s)
+        self._set_peers()
 
     # -- liveness -----------------------------------------------------------
 
@@ -803,7 +842,7 @@ class MpFabric(Fabric):
                     self._machine_died(machine, proc)
 
     def _machine_died(self, machine: int, proc) -> None:
-        if machine in self._client._down:
+        if self.machine_down(machine):
             return
         log.warning("machine %d (pid %s) died, exitcode %s", machine,
                     proc.pid, proc.exitcode)
@@ -812,51 +851,15 @@ class MpFabric(Fabric):
             f"worker process (pid {proc.pid}) died with exitcode "
             f"{proc.exitcode}")
 
-    # -- Fabric interface ---------------------------------------------------
-
-    def call_async(self, ref: ObjectRef, method: str, args: tuple,
-                   kwargs: dict) -> RemoteFuture:
-        if self._closed:
-            return failed_future(MachineDownError("cluster is shut down"),
-                                 label=method)
-        self.check_machine(ref.machine)
-        try:
-            future = self._client.send_request(ref, method, args, kwargs)
-        except MachineDownError as exc:
-            return failed_future(exc, label=method)
-        assert future is not None
-        return future
-
-    def call_oneway(self, ref: ObjectRef, method: str, args: tuple,
-                    kwargs: dict) -> None:
-        self.check_machine(ref.machine)
-        self._client.send_request(ref, method, args, kwargs, oneway=True)
-
     # -- lifecycle ------------------------------------------------------------
 
     def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
+        # The monitor goes first: machines exiting on request are not deaths.
         self._monitor_stop.set()
-        if self._monitor is not None:
-            self._monitor.join(timeout=2.0)
-        # Graceful: destroy hosted objects (running destructor hooks),
-        # then ask each machine to stop.  Machines already declared dead
-        # are skipped — no point waiting a shutdown timeout on a corpse.
-        for machine in range(self.machine_count):
-            if machine in self._client._down:
-                continue
-            try:
-                self._client.send_request(
-                    self.kernel_ref(machine), "destroy_all", (), {}
-                ).result(self.config.shutdown_timeout_s)
-                self._client.send_request(
-                    self.kernel_ref(machine), "shutdown", (), {}
-                ).result(self.config.shutdown_timeout_s)
-            except (MachineDownError, Exception):  # noqa: BLE001 - teardown
-                pass
-        self._client.close()
+        self._monitor.join(timeout=2.0)
+        super().close()
+
+    def _reap_machines(self) -> None:
         deadline = time.monotonic() + self.config.shutdown_timeout_s
         for proc in self._procs:
             proc.join(timeout=max(0.0, deadline - time.monotonic()))
@@ -873,83 +876,13 @@ class MpFabric(Fabric):
                 proc.kill()
                 proc.join(timeout=2.0)
 
-    # -- observability --------------------------------------------------------
-
-    def trace_spans(self) -> list:
-        """Driver spans + every reachable machine's spans.
-
-        Machine processes lose their buffers at shutdown, so gather
-        before closing the cluster.  A machine that is down contributes
-        nothing (its spans died with it); the driver-side client spans
-        of the lost calls are still here, unfinished — that asymmetry
-        is the observable signature of the failure.
-        """
-        spans = super().trace_spans()
-        if self.config.trace is None or self._closed:
-            return spans
-        for machine in range(self.machine_count):
-            if self.machine_down(machine):
-                continue
-            try:
-                dicts = self.kernel_call(machine, "take_spans")
-            except MachineDownError:
-                continue
-            spans.extend(Span.from_dict(d) for d in dicts)
-        return spans
-
-    def race_reports(self) -> list[dict]:
-        """Driver reports + every reachable machine's reports.
-
-        Method executions all happen on the machines, so nearly every
-        report comes from there; gather before closing the cluster
-        (reports die with their process, like spans).
-        """
-        reports = super().race_reports()
-        check = self.config.check
-        if check is None or not check.race_detect or self._closed:
-            return reports
-        for machine in range(self.machine_count):
-            if self.machine_down(machine):
-                continue
-            try:
-                reports.extend(self.kernel_call(machine, "take_race_reports"))
-            except MachineDownError:
-                continue
-        return reports
-
-    def metrics(self) -> dict:
-        """Per-process metrics: driver plus each machine (by kernel call).
-
-        A dead machine reports ``{"down": <reason>}`` instead of
-        counters — the caller still gets one entry per machine.
-        """
-        out: dict = {"driver": {**snapshot_process(),
-                                "traffic": self.traffic()}}
-        if self._closed:
-            return out
-        for machine in range(self.machine_count):
-            key = f"machine {machine}"
-            try:
-                out[key] = self.kernel_call(machine, "obs_metrics")
-            except MachineDownError as exc:
-                out[key] = {"down": str(exc)}
-        return out
-
     # -- diagnostics ---------------------------------------------------------------
-
-    def traffic(self) -> dict:
-        """Driver-side wire counters (frames/bytes in and out)."""
-        return self._client.traffic()
 
     def machine_pids(self) -> list[Optional[int]]:
         return [p.pid for p in self._procs]
 
     def machine_alive(self) -> list[bool]:
         return [p.is_alive() for p in self._procs]
-
-    def machine_down(self, machine: int) -> bool:
-        """True when the liveness monitor has declared *machine* dead."""
-        return machine in self._client._down
 
     def kill_machine(self, machine: int, *, hard: bool = False) -> None:
         """Kill one machine process (failure-injection tests).

@@ -22,6 +22,7 @@ the driver instead (the kernel's ``quiesce`` is sim-aware).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Optional
 
 from ..check.checker import make_checker
@@ -29,22 +30,16 @@ from ..config import Config
 from ..errors import MachineDownError, SerializationError, SimulationError
 from ..obs.tracer import make_tracer
 from ..runtime.context import CostHooks, RuntimeContext, context_scope, current_context
-from ..runtime.futures import (
-    RemoteFuture,
-    _YieldedLocks,
-    completed_future,
-    failed_future,
-)
+from ..runtime.futures import RemoteFuture, _YieldedLocks
 from ..runtime.oid import ObjectRef
-from ..runtime.server import Dispatcher, Kernel, ObjectTable, ServePolicy
+from ..runtime.server import Kernel, MachineCore, ObjectTable
 from ..sim.engine import Engine, Trigger
 from ..sim.network import SimNetwork
 from ..sim.trace import TraceLog
 from ..transport import serde
 from ..transport.faults import FaultInjector, FaultRule
 from ..transport.message import ErrorResponse, Message, Request
-from ..util.ids import IdAllocator
-from .base import Fabric, exception_from_error
+from .base import Fabric, complete
 
 #: fixed protocol overhead charged per message on the simulated wire
 MESSAGE_OVERHEAD_BYTES = 64
@@ -160,31 +155,6 @@ class SimKernel(Kernel):
         return True
 
 
-class _SimMachine:
-    def __init__(self, machine_id: int, fabric: "SimFabric") -> None:
-        self.machine_id = machine_id
-        engine = fabric.engine
-        # Blocking (destroy drains, worker slots, the per-object
-        # read/write lock) must consume *simulated* time: a sim process
-        # parking on an OS condition variable would stall the clock, so
-        # the table and policy poll through engine.sleep instead.
-        self.table = ObjectTable(
-            yield_wait=lambda: engine.sleep(ServePolicy.SIM_POLL_S),
-            forward_buffer=fabric.config.migrate.forward_buffer)
-        self.kernel = SimKernel(machine_id, self.table, engine)
-        self.hooks = SimCostHooks(fabric, machine_id)
-        self.kernel.tracer = fabric.tracer
-        self.kernel.checker = fabric.checker
-        self.policy = ServePolicy(fabric.config.serve, machine=machine_id,
-                                  engine=engine)
-        self.kernel.policy = self.policy
-        self.dispatcher = Dispatcher(machine_id, self.table, self.kernel,
-                                     fabric, hooks=self.hooks,
-                                     tracer=fabric.tracer,
-                                     checker=fabric.checker,
-                                     policy=self.policy)
-
-
 class SimFabric(Fabric):
     """The runtime fabric over the simulated cluster."""
 
@@ -209,8 +179,14 @@ class SimFabric(Fabric):
         self.checker = make_checker(config, node=-1)
         self.network = SimNetwork(self.engine, config.n_machines,
                                   config.network, config.disk)
-        self._machines = [_SimMachine(i, self) for i in range(config.n_machines)]
-        self._request_ids = IdAllocator()
+        # Blocking (destroy drains, worker slots, the per-object
+        # read/write lock) must consume *simulated* time, hence engine=.
+        self._machines = [
+            MachineCore(i, self, hooks=SimCostHooks(self, i),
+                        engine=self.engine,
+                        kernel=partial(SimKernel, engine=self.engine))
+            for i in range(config.n_machines)]
+        self.new_future = partial(SimRemoteFuture, self.engine)
         #: chaos layer: one injector per (src, dst) link, allocated lazily
         #: in program order (deterministic for a deterministic program).
         self._fault_injectors: dict[tuple[int, int], FaultInjector] = {}
@@ -267,63 +243,42 @@ class SimFabric(Fabric):
             raise MachineDownError("simulated cluster is shut down")
         dst = self.check_machine(ref.machine)
         src = self._caller_node()
-        label = f"sim m{src}->m{dst}#{ref.oid}.{method}"
-        cpu = self.config.network.per_message_cpu_s
-
-        tracer = self.tracer
-        span = None
-        if tracer is not None and tracer.wants(method):
-            # t_queued = now, before the marshalling CPU charge; t_sent
-            # lands after it — the gap *is* the modeled send-loop cost.
-            span = tracer.start_client(peer=dst, oid=ref.oid, method=method,
-                                       machine=src)
-
         # Sender-side CPU: the caller's instruction stream is busy
         # marshalling; this is what serializes the paper's send-loop.
         # It shares the node's protocol CPU with response unmarshalling
         # (one core does both), so a flood of sends and arrivals queues.
-        if cpu > 0:
-            self._cpu_wait(src, cpu)
+        # The client span is queued *before* the charge and sent after
+        # it — the gap is the modeled send-loop cost.
+        queued_at = self.engine.now
+        self._cpu_wait(src, self.config.network.per_message_cpu_s)
+        return self._issue(ref, method, args, kwargs, oneway, self._transmit,
+                           caller=src, local=(src == dst),
+                           queued_at=queued_at)
 
-        checker = self.checker
-        req_wire = self._wire_bytes(args) + self._wire_bytes(kwargs)
-        (copied_args, copied_kwargs), _ = self._copy((args, kwargs), dst)
-        request = Request(request_id=self._request_ids.next(),
-                          object_id=ref.oid, method=method,
-                          args=copied_args, kwargs=copied_kwargs,
-                          oneway=oneway, caller=src,
-                          span=None if span is None else span.span_id,
-                          clock=None if checker is None else checker.on_send())
+    def _transmit(self, ref: ObjectRef, request: Request,
+                  future: Optional[SimRemoteFuture]) -> None:
+        """Cost the request on the simulated wire and schedule its
+        execution on the target machine."""
+        src, dst = request.caller, ref.machine
+        req_wire = (self._wire_bytes(request.args)
+                    + self._wire_bytes(request.kwargs))
+        (request.args, request.kwargs), _ = self._copy(
+            (request.args, request.kwargs), dst)
         self.trace.record(self.engine.now, "call", src, dst=dst,
-                          method=method, oid=ref.oid, nbytes=req_wire)
-
-        future = None if oneway else SimRemoteFuture(self.engine, label=label)
-        if future is not None and checker is not None:
-            future._consume_hook = checker.on_consume
-
-        if span is not None:
-            span.t_sent = self.engine.now
-            if future is not None:
-                future.add_done_callback(
-                    lambda f, s=span: tracer.finish_client(
-                        s, error=(type(f.exception(0)).__name__
-                                  if f.exception(0) is not None else None)))
+                          method=request.method, oid=ref.oid, nbytes=req_wire)
 
         if src == dst:
             # Loopback: no network, immediate dispatch on this thread.
             # (Faults model the interconnect, so loopback is exempt —
             # mirroring the mp backend's local short-circuit.)
             self._execute(src, dst, request, future)
-            return future
+            return
 
         arrival = self.network.message_arrival(src, dst, req_wire)
 
         fault = self._fault_for(src, dst, "send", request)
         if fault is not None:
             if fault.action == "close":
-                if span is not None:
-                    tracer.finish_client(span, error="MachineDownError",
-                                         replied=False)
                 raise MachineDownError(
                     f"fault injected: link m{src}->m{dst} closed",
                     machine=dst, oid=ref.oid)
@@ -331,7 +286,7 @@ class SimFabric(Fabric):
                 # The request is lost.  Under the paper's block-forever
                 # semantics the caller's wait starves the event queue,
                 # surfacing deterministically as SimDeadlockError.
-                return future
+                return
             if fault.action == "corrupt":
                 if future is not None:
                     self._deliver_exception(
@@ -339,14 +294,13 @@ class SimFabric(Fabric):
                         SerializationError(
                             f"fault injected: corrupted request frame "
                             f"m{src}->m{dst}"))
-                return future
+                return
             arrival += fault.delay_s  # action == "delay"
 
         self.engine.schedule_at(
             arrival,
             lambda: self.engine.spawn(self._execute, src, dst, request,
                                       future, name=f"sim-handler-m{dst}"))
-        return future
 
     def _fault_for(self, src: int, dst: int, direction: str,
                    msg: Message) -> Optional[FaultRule]:
@@ -386,8 +340,6 @@ class SimFabric(Fabric):
         """
         if seconds <= 0:
             return
-        from ..sim.engine import Trigger
-
         end = self.network.node(node_id).cpu.occupy(seconds)
         trigger = Trigger(label=f"cpu m{node_id}")
         self.engine.fire_at(end, trigger)
@@ -405,32 +357,23 @@ class SimFabric(Fabric):
         reply = machine.dispatcher.execute(request)
         if future is None:
             return
-        future._check_clock = reply.clock
         if isinstance(reply, ErrorResponse):
-            exc = exception_from_error(reply)
-            value, resp_wire = None, MESSAGE_OVERHEAD_BYTES
+            resp_wire = MESSAGE_OVERHEAD_BYTES
         else:
             assert reply is not None
-            exc = None
             resp_wire = self._wire_bytes(reply.value)
             # Decode under the caller's context so returned proxies bind
             # correctly (one fabric, but contexts carry machine identity).
-            value, _ = self._copy(reply.value, src)
+            reply.value, _ = self._copy(reply.value, src)
 
         def deliver() -> None:
             if future.trigger.fired:
                 return  # the caller timed out; late reply discarded
-            if exc is not None:
-                future.set_exception(exc)
-            else:
-                future.set_result(value)
+            complete(future, reply)
             self.engine._fire_locked(future.trigger, None, None)
 
         if src == dst:
-            if exc is not None:
-                future.set_exception(exc)
-            else:
-                future.set_result(value)
+            complete(future, reply)
             self.engine.fire(future.trigger)
             return
         if cpu > 0:

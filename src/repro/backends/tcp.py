@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import argparse
 import base64
-import dataclasses
 import hashlib
 import json
 import os
@@ -58,7 +57,6 @@ import threading
 import time
 from typing import Callable, Optional
 
-from ..check.checker import make_checker
 from ..config import Config, HostSpec
 from ..errors import (
     HandshakeError,
@@ -66,17 +64,10 @@ from ..errors import (
     NoSuchMachineError,
     TransportError,
 )
-from ..obs.metrics import snapshot_process
-from ..obs.span import Span
-from ..obs.tracer import make_tracer
-from ..runtime.context import RuntimeContext
-from ..runtime.futures import RemoteFuture, failed_future
-from ..runtime.oid import ObjectRef
-from ..transport.socket_channel import WireOptions, listen_socket
+from ..transport.socket_channel import listen_socket
 from ..util.hostid import host_fingerprint
 from ..util.log import get_logger
-from .base import Fabric
-from .mp import MachineServer, PeerClient
+from .mp import DriverFabric, MachineServer
 from .registry import register_backend
 
 log = get_logger("tcp")
@@ -592,14 +583,11 @@ class HostClient:
             self._died(f"daemon process (pid {self.proc.pid}) killed")
 
 
-class TcpFabric(Fabric):
+class TcpFabric(DriverFabric):
     """Driver-side fabric over per-host daemons (see module docstring)."""
 
     def __init__(self, config: Config) -> None:
         super().__init__(config)
-        self.tracer = make_tracer(config, node=-1)
-        self.checker = make_checker(config, node=-1)
-        self._context = RuntimeContext(fabric=self, machine_id=-1)
         self.hosts = config.topology.resolved_hosts(config.n_machines)
         #: machine id -> index into self.hosts / self._host_clients.
         self._host_index: list[int] = []
@@ -611,13 +599,6 @@ class TcpFabric(Fabric):
             next_id += spec.machines
             self._host_machines.append(ids)
             self._host_index.extend([len(self._host_machines) - 1] * len(ids))
-        self._fingerprints: dict[int, str] = {}
-        self._addrs: dict[int, tuple[str, int]] = {}
-        self._client = PeerClient(caller=-1, decode_context=self._context,
-                                  fault_plan=config.fault_plan,
-                                  config=config, tracer=self.tracer,
-                                  checker=self.checker,
-                                  wire_options_for=self._options_for)
         self._host_clients: list[HostClient] = []
         try:
             for i, spec in enumerate(self.hosts):
@@ -625,26 +606,20 @@ class TcpFabric(Fabric):
                                     self._host_died)
                 self._host_clients.append(client)
                 client.start()
-            for i, host in enumerate(self._host_clients):
-                for mid, port in host.machine_ports.items():
-                    self._addrs[mid] = (host.connect_addr, port)
-                    self._fingerprints[mid] = host.fingerprint
-            self._client.set_addrs(self._addrs)
-            futures = [
-                self.call_async(self.kernel_ref(m), "set_peers",
-                                (self._addrs, self._fingerprints), {})
-                for m in sorted(self._addrs)
-            ]
-            for f in futures:
-                f.result(config.startup_timeout_s)
+                self._learn_host(client)
+            self._set_peers()
         except BaseException:
-            for host in self._host_clients:
-                try:
-                    host.shutdown()
-                except Exception:  # noqa: BLE001 - bootstrap abort
-                    pass
+            self._reap_machines()
             self._client.close()
             raise
+
+    def _learn_host(self, host: HostClient) -> None:
+        """Record where a (re)started host's machines listen, and on
+        which box: locality is keyed off the handshake fingerprint."""
+        self._client.set_addrs({mid: (host.connect_addr, port)
+                                for mid, port in host.machine_ports.items()})
+        for mid in host.machine_ports:
+            self._client.fingerprints[mid] = host.fingerprint
 
     # -- topology -----------------------------------------------------------
 
@@ -683,16 +658,6 @@ class TcpFabric(Fabric):
                 f"is out of range")
         return pool[index]
 
-    # -- locality-aware wire options ---------------------------------------
-
-    def _options_for(self, machine: int) -> WireOptions:
-        base = WireOptions.from_config(self.config)
-        fp = self._fingerprints.get(machine)
-        if fp is not None and fp != host_fingerprint():
-            return dataclasses.replace(base, shm_enabled=False,
-                                       pub_descriptors=False)
-        return base
-
     # -- liveness -----------------------------------------------------------
 
     def _host_died(self, client: HostClient, reason: str) -> None:
@@ -703,9 +668,6 @@ class TcpFabric(Fabric):
                 machine,
                 f"host {client.spec.addr} (carrying machine {machine}) is "
                 f"down: {reason}")
-
-    def machine_down(self, machine: int) -> bool:
-        return machine in self._client._down
 
     def host_down(self, host: int) -> bool:
         return not self._host_clients[host].alive
@@ -729,99 +691,21 @@ class TcpFabric(Fabric):
                             self._host_machines[host], self._host_died)
         client.start()
         self._host_clients[host] = client
-        for mid, port in client.machine_ports.items():
-            self._addrs[mid] = (client.connect_addr, port)
-            self._fingerprints[mid] = client.fingerprint
-        self._client.set_addrs(self._addrs)
+        self._learn_host(client)
         for machine in self._host_machines[host]:
             self._client.mark_up(machine)
-        futures = [
-            self.call_async(self.kernel_ref(m), "set_peers",
-                            (self._addrs, self._fingerprints), {})
-            for m in sorted(self._addrs) if not self.machine_down(m)
-        ]
-        for f in futures:
-            f.result(self.config.startup_timeout_s)
-
-    # -- Fabric interface ---------------------------------------------------
-
-    def call_async(self, ref: ObjectRef, method: str, args: tuple,
-                   kwargs: dict) -> RemoteFuture:
-        if self._closed:
-            return failed_future(MachineDownError("cluster is shut down"),
-                                 label=method)
-        self.check_machine(ref.machine)
-        try:
-            future = self._client.send_request(ref, method, args, kwargs)
-        except MachineDownError as exc:
-            return failed_future(exc, label=method)
-        assert future is not None
-        return future
-
-    def call_oneway(self, ref: ObjectRef, method: str, args: tuple,
-                    kwargs: dict) -> None:
-        self.check_machine(ref.machine)
-        self._client.send_request(ref, method, args, kwargs, oneway=True)
+        self._set_peers()
 
     # -- lifecycle -----------------------------------------------------------
 
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        for machine in range(self.machine_count):
-            if self.machine_down(machine):
-                continue
-            try:
-                self._client.send_request(
-                    self.kernel_ref(machine), "destroy_all", (), {}
-                ).result(self.config.shutdown_timeout_s)
-                self._client.send_request(
-                    self.kernel_ref(machine), "shutdown", (), {}
-                ).result(self.config.shutdown_timeout_s)
-            except Exception:  # noqa: BLE001 - teardown
-                pass
-        self._client.close()
+    def _reap_machines(self) -> None:
         for host in self._host_clients:
             try:
                 host.shutdown()
             except Exception:  # noqa: BLE001 - teardown
                 pass
-        # Unpin publications last (Fabric.close); daemons that attached
-        # them are gone by now, so the unlink cannot strand a reader.
-        publications, self._publications = self._publications, {}
-        for handle in publications.values():
-            handle.unpublish()
 
     # -- observability --------------------------------------------------------
-
-    def trace_spans(self) -> list:
-        spans = super().trace_spans()
-        if self.config.trace is None or self._closed:
-            return spans
-        for machine in range(self.machine_count):
-            if self.machine_down(machine):
-                continue
-            try:
-                dicts = self.kernel_call(machine, "take_spans")
-            except MachineDownError:
-                continue
-            spans.extend(Span.from_dict(d) for d in dicts)
-        return spans
-
-    def race_reports(self) -> list[dict]:
-        reports = super().race_reports()
-        check = self.config.check
-        if check is None or not check.race_detect or self._closed:
-            return reports
-        for machine in range(self.machine_count):
-            if self.machine_down(machine):
-                continue
-            try:
-                reports.extend(self.kernel_call(machine, "take_race_reports"))
-            except MachineDownError:
-                continue
-        return reports
 
     def metrics(self) -> dict:
         """Per-process metrics plus a per-host rollup.
@@ -832,16 +716,9 @@ class TcpFabric(Fabric):
         list, and the numeric sum of its machines' counters — the
         hot-spot view a rebalancer wants.
         """
-        out: dict = {"driver": {**snapshot_process(),
-                                "traffic": self.traffic()}}
+        out = super().metrics()
         if self._closed:
             return out
-        for machine in range(self.machine_count):
-            key = f"machine {machine}"
-            try:
-                out[key] = self.kernel_call(machine, "obs_metrics")
-            except MachineDownError as exc:
-                out[key] = {"down": str(exc)}
         for i, host in enumerate(self._host_clients):
             rollup: dict = {
                 "addr": self.hosts[i].addr,
@@ -861,9 +738,6 @@ class TcpFabric(Fabric):
         return out
 
     # -- diagnostics ---------------------------------------------------------
-
-    def traffic(self) -> dict:
-        return self._client.traffic()
 
     def host_pids(self) -> list[Optional[int]]:
         return [h.daemon_pid for h in self._host_clients]

@@ -8,17 +8,12 @@ Related knobs are grouped into nested dataclasses — :class:`WireConfig`
 (``Config.wire``: the mp fast path), :class:`RetryConfig`
 (``Config.retry``: the idempotent-call retry budget) and
 :class:`TraceConfig` (``Config.trace``: span recording, off by default).
-The historical flat keyword spellings (``wire_coalesce``,
-``call_retries``, …) are still accepted by the constructor and by
-attribute access — they forward to the nested fields with a
-``DeprecationWarning``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import os
-import warnings
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -165,14 +160,10 @@ class RetryConfig:
     backoff_s: float = 0.05
 
     def validate(self) -> None:
-        # Messages name the legacy flat spellings too: callers migrating
-        # from Config(call_retries=...) grep for the name they passed.
         if self.retries < 0:
-            raise ConfigError(
-                "retry.retries (legacy call_retries) must be >= 0")
+            raise ConfigError("retry.retries must be >= 0")
         if self.backoff_s <= 0:
-            raise ConfigError(
-                "retry.backoff_s (legacy retry_backoff_s) must be > 0")
+            raise ConfigError("retry.backoff_s must be > 0")
 
 
 @dataclass
@@ -268,9 +259,7 @@ class ServeConfig:
 
     def validate(self) -> None:
         if self.workers is not None and self.workers < 1:
-            raise ConfigError(
-                "serve.workers (legacy mp_workers_per_machine) must be "
-                ">= 1 or None")
+            raise ConfigError("serve.workers must be >= 1 or None")
         if self.max_queue_depth is not None and self.max_queue_depth < 1:
             raise ConfigError("serve.max_queue_depth must be >= 1 or None")
         if self.yield_headroom < 0:
@@ -425,23 +414,6 @@ class TopologyConfig:
         return list(self.hosts)
 
 
-#: legacy flat keyword → (nested group, attribute).
-_LEGACY_FIELDS: dict[str, tuple[str, str]] = {
-    "wire_coalesce": ("wire", "coalesce"),
-    "coalesce_max_bytes": ("wire", "coalesce_max_bytes"),
-    "coalesce_max_msgs": ("wire", "coalesce_max_msgs"),
-    "wire_header_cache": ("wire", "header_cache"),
-    "wire_shm": ("wire", "shm"),
-    "shm_threshold_bytes": ("wire", "shm_threshold_bytes"),
-    "call_retries": ("retry", "retries"),
-    "retry_backoff_s": ("retry", "backoff_s"),
-    "mp_workers_per_machine": ("serve", "workers"),
-    "hosts": ("topology", "hosts"),
-    "heartbeat_interval_s": ("topology", "heartbeat_interval_s"),
-    "heartbeat_misses": ("topology", "heartbeat_misses"),
-}
-
-
 @dataclass
 class Config:
     """Top-level framework configuration.
@@ -451,7 +423,8 @@ class Config:
     backend:
         ``"inline"`` (objects in the driver process, for tests),
         ``"mp"`` (one OS process per machine, socket RPC — the real thing),
-        or ``"sim"`` (simulated cluster over the discrete-event engine).
+        ``"tcp"`` (machines on other hosts, one daemon per host), or
+        ``"sim"`` (simulated cluster over the discrete-event engine).
     n_machines:
         Number of machines in the cluster, ``machine 0 .. n_machines-1``.
         The driver itself plays the role of the paper's *machine 0 client*;
@@ -489,13 +462,6 @@ class Config:
         Cost models used by the ``sim`` backend (ignored elsewhere).
     pickle_protocol:
         Protocol used by the serde layer for the object path.
-
-    The flat spellings of the wire/retry knobs (``wire_coalesce``,
-    ``coalesce_max_bytes``, ``coalesce_max_msgs``, ``wire_header_cache``,
-    ``wire_shm``, ``shm_threshold_bytes``, ``call_retries``,
-    ``retry_backoff_s``) are accepted as constructor keywords and as
-    attribute reads, forwarding to the nested fields with a
-    ``DeprecationWarning``.
     """
 
     backend: str = "inline"
@@ -529,33 +495,28 @@ class Config:
     inline_copy: bool = True
     #: per-machine concurrent serving: worker slots, per-object
     #: read/write locks, bounded admission (see :class:`ServeConfig` /
-    #: docs/SERVING.md).  The legacy flat ``mp_workers_per_machine``
-    #: keyword forwards to ``serve.workers``.
+    #: docs/SERVING.md).
     serve: ServeConfig = field(default_factory=ServeConfig)
     #: mp backend: multiprocessing start method.  ``fork`` lets workers
     #: resolve classes defined in test files or __main__.
     mp_start_method: str = "fork"
     #: tcp backend: host placement + heartbeat knobs (see
-    #: :class:`TopologyConfig` / docs/BACKENDS.md).  The legacy flat
-    #: ``hosts`` / ``heartbeat_interval_s`` / ``heartbeat_misses``
-    #: keywords forward here.
+    #: :class:`TopologyConfig` / docs/BACKENDS.md).
     topology: TopologyConfig = field(default_factory=TopologyConfig)
     #: live object migration: freeze-window buffering + forwarding-hop
     #: bounds (see :class:`MigrateConfig` / docs/MIGRATION.md).
     migrate: MigrateConfig = field(default_factory=MigrateConfig)
 
-    def __getattr__(self, name: str):
-        # Only called for names regular lookup misses: the legacy flat
-        # knobs read through to the nested groups; everything else is a
-        # genuine AttributeError (pickle probes __getstate__ etc.).
-        pair = _LEGACY_FIELDS.get(name)
-        if pair is None:
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}")
-        warnings.warn(
-            f"Config.{name} is deprecated; read Config.{pair[0]}.{pair[1]}",
-            DeprecationWarning, stacklevel=2)
-        return getattr(getattr(self, pair[0]), pair[1])
+    def __post_init__(self) -> None:
+        # Bool shorthands for the two opt-in groups.
+        if self.trace is True:
+            self.trace = TraceConfig()
+        elif self.trace is False:
+            self.trace = None
+        if self.check is True:
+            self.check = CheckConfig(race_detect=True)
+        elif self.check is False:
+            self.check = None
 
     def validate(self) -> None:
         # Resolved through the pluggable registry (lazy import: the
@@ -606,11 +567,7 @@ class Config:
         self.disk.validate()
 
     def replace(self, **kwargs) -> "Config":
-        """Return a copy with the given fields replaced (and validated).
-
-        Accepts the legacy flat knob names too (they pass through the
-        constructor's forwarding, with the same ``DeprecationWarning``).
-        """
+        """Return a copy with the given fields replaced (and validated)."""
         cfg = dataclasses.replace(self, **kwargs)
         cfg.validate()
         return cfg
@@ -624,39 +581,3 @@ class Config:
             root = os.path.join(tempfile.gettempdir(), f"oopp-{os.getpid()}")
         os.makedirs(root, exist_ok=True)
         return root
-
-
-_generated_config_init = Config.__init__
-
-
-def _config_init(self, *args, **kwargs) -> None:
-    legacy = {name: kwargs.pop(name)
-              for name in tuple(kwargs) if name in _LEGACY_FIELDS}
-    _generated_config_init(self, *args, **kwargs)
-    if legacy:
-        warnings.warn(
-            f"Config({', '.join(sorted(legacy))}) uses deprecated flat "
-            "knobs; use the nested Config.wire / Config.retry fields",
-            DeprecationWarning, stacklevel=2)
-        groups: dict[str, dict] = {}
-        for name, value in legacy.items():
-            group, attr = _LEGACY_FIELDS[name]
-            groups.setdefault(group, {})[attr] = value
-        # Replace (never mutate) the nested group: dataclasses.replace
-        # shares nested instances between copies, so in-place writes
-        # would leak into the Config this one was replace()d from.
-        for group, attrs in groups.items():
-            setattr(self, group,
-                    dataclasses.replace(getattr(self, group), **attrs))
-    if self.trace is True:
-        self.trace = TraceConfig()
-    elif self.trace is False:
-        self.trace = None
-    if self.check is True:
-        self.check = CheckConfig(race_detect=True)
-    elif self.check is False:
-        self.check = None
-
-
-_config_init.__wrapped__ = _generated_config_init
-Config.__init__ = _config_init  # type: ignore[method-assign]

@@ -1,8 +1,7 @@
 """Runtime class checks: lint a *live* class object before deployment.
 
-This is the structured successor of
-:func:`repro.runtime.protocol.validate_remote_class` — same checks,
-now with codes, plus the edge cases the old helper missed:
+Pre-deployment checks with rule codes, including the edge cases a
+``vars(cls)``-only scan misses:
 
 * **OOPP110** reserved-name collisions are found over the whole MRO,
   not just ``vars(cls)`` (an inherited ``__oopp_custom`` used to slip
@@ -188,8 +187,7 @@ def lint_class(cls: type) -> list[LintFinding]:
     """Runtime lint of a class intended for remote deployment.
 
     Returns structured :class:`LintFinding`\\ s (codes ``OOPP110`` —
-    ``OOPP114``); an empty list means the class is clean.  This is what
-    :func:`repro.runtime.protocol.validate_remote_class` now wraps.
+    ``OOPP114``); an empty list means the class is clean.
     """
     from ..errors import RuntimeLayerError
 

@@ -43,7 +43,7 @@ from .cluster import Cluster, current_cluster
 from .rebalance import Move, Rebalancer
 from .naming import ObjectAddress, parse_address, format_address
 from .autopar import autoparallel, Deferred, CallBatch, DeferredError, force
-from .protocol import Protocol, describe_protocol, protocol_of, validate_remote_class
+from .protocol import Protocol, describe_protocol, protocol_of
 
 __all__ = [
     "ObjectRef",
@@ -82,5 +82,4 @@ __all__ = [
     "Protocol",
     "describe_protocol",
     "protocol_of",
-    "validate_remote_class",
 ]

@@ -9,7 +9,7 @@ operations every object supports (attribute access, ping, destroy).
 
 Useful for documentation, debugging ("what can I call on this
 pointer?"), and for validating a class *before* deploying it
-(:func:`validate_remote_class` catches unpicklable constructor
+(:func:`repro.lint.lint_class` catches unpicklable constructor
 signatures and reserved-name collisions up front).
 
 This module also hosts :class:`CallHeaderCache` — the compiled-protocol
@@ -257,25 +257,3 @@ class CallHeaderCache:
 
 #: process-wide cache shared by every outbound channel.
 call_header_cache = CallHeaderCache()
-
-
-def validate_remote_class(cls: type) -> list[str]:
-    """Pre-deployment lint: returns a list of warnings (empty = clean).
-
-    .. deprecated::
-        This is now a thin shim over :func:`repro.lint.lint_class`,
-        which returns structured findings with rule codes (``OOPP110``
-        — ``OOPP114``) instead of bare strings, covers the whole MRO,
-        and validates the ``__oopp_idempotent__`` registry.  Use that
-        directly; this wrapper flattens its findings back into the old
-        list-of-messages shape.
-    """
-    import warnings as _warnings
-
-    from ..lint.classlint import lint_class  # local: lint imports runtime
-
-    _warnings.warn(
-        "validate_remote_class() is deprecated; use repro.lint.lint_class()"
-        " for structured findings with rule codes",
-        DeprecationWarning, stacklevel=2)
-    return [f.message for f in lint_class(cls)]

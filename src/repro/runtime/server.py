@@ -29,6 +29,9 @@ Four pieces:
     table, with the runtime context set so that method bodies can issue
     their own remote calls and unpickled proxies bind to the machine's
     fabric.
+
+:class:`MachineCore` assembles the four for one machine; every backend
+hosts its machines through it.
 """
 
 from __future__ import annotations
@@ -1193,6 +1196,40 @@ class Dispatcher:
                 self.table.exit_call(oid)
             else:
                 self.table.checkin(oid)
+
+
+class MachineCore:
+    """One machine's serving half, assembled once for every backend:
+    table + kernel + serve policy + dispatcher, with the hosting
+    fabric's tracer and checker wired through all of them.
+
+    Backends supply only what differs: *hooks* (the sim's cost model),
+    *engine* (blocking waits then poll in simulated time instead of
+    parking on an OS condition variable, which would stall the clock)
+    and *kernel* (``(machine_id, table) -> Kernel``, for backends whose
+    kernel object has extra verbs).
+    """
+
+    def __init__(self, machine_id: int, fabric: "Fabric", *, hooks=None,
+                 engine=None,
+                 kernel: Callable[[int, ObjectTable], Kernel] = Kernel) -> None:
+        config = fabric.config
+        self.machine_id = machine_id
+        self.table = ObjectTable(
+            yield_wait=(None if engine is None else
+                        lambda: engine.sleep(ServePolicy.SIM_POLL_S)),
+            forward_buffer=config.migrate.forward_buffer)
+        self.kernel = kernel(machine_id, self.table)
+        self.policy = ServePolicy(config.serve, machine=machine_id,
+                                  engine=engine)
+        self.kernel.tracer = fabric.tracer
+        self.kernel.checker = fabric.checker
+        self.kernel.policy = self.policy
+        self.dispatcher = Dispatcher(machine_id, self.table, self.kernel,
+                                     fabric, hooks=hooks,
+                                     tracer=fabric.tracer,
+                                     checker=fabric.checker,
+                                     policy=self.policy)
 
 
 def _try_picklable(exc: BaseException) -> BaseException | None:

@@ -68,7 +68,7 @@ class PageDevice:
     """
 
     #: page reads are safe to re-send after an ambiguous transport
-    #: failure (chaos layer: see Config.call_retries).  The ``reads``
+    #: failure (chaos layer: see Config.retry).  The ``reads``
     #: counter drifts on a duplicated read — diagnostics, not state.
     __oopp_idempotent__ = frozenset({
         "read", "read_into", "read_page", "read_region", "describe",

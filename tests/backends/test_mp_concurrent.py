@@ -61,8 +61,9 @@ class TestConcurrentBursts:
 
     def test_burst_with_fastpath_disabled(self, tmp_path):
         with oopp.Cluster(n_machines=2, backend="mp", call_timeout_s=60.0,
-                          wire_coalesce=False, wire_header_cache=False,
-                          wire_shm=False,
+                          wire=oopp.WireConfig(coalesce=False,
+                                               header_cache=False,
+                                               shm=False),
                           storage_root=str(tmp_path / "root")) as cluster:
             total, results = burst_from_threads(cluster, n_threads=4,
                                                 per_thread=25)
@@ -70,12 +71,12 @@ class TestConcurrentBursts:
             assert len(flat) == total
             assert all(v == t for t, v in flat)
 
-    @pytest.mark.parametrize("knob", ["wire_coalesce", "wire_header_cache",
-                                      "wire_shm"])
+    @pytest.mark.parametrize("knob", ["coalesce", "header_cache", "shm"])
     def test_each_knob_disables_independently(self, tmp_path, knob):
         with oopp.Cluster(n_machines=2, backend="mp", call_timeout_s=60.0,
                           storage_root=str(tmp_path / "root"),
-                          **{knob: False}) as cluster:
+                          wire=oopp.WireConfig(**{knob: False})
+                          ) as cluster:
             obj = cluster.new(Echo, machine=1)
             futures = [obj.add.future(i, 1) for i in range(50)]
             assert [f.result(30) for f in futures] == list(range(1, 51))

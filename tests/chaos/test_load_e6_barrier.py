@@ -33,7 +33,8 @@ def shaky_cluster(tmp_path):
         FaultRule(action="delay", direction="both", probability=0.3,
                   delay_s=0.01, max_fires=None)])
     with oopp.Cluster(n_machines=3, backend="mp", call_timeout_s=30.0,
-                      call_retries=2, retry_backoff_s=0.05, fault_plan=plan,
+                      retry=oopp.RetryConfig(retries=2, backoff_s=0.05),
+                      fault_plan=plan,
                       storage_root=str(tmp_path / "r")) as cluster:
         yield cluster
 

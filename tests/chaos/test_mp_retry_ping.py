@@ -2,7 +2,7 @@
 
 The fault plan drops the first ``ping`` request on the wire.  With a
 call deadline and a retry budget the caller re-sends and succeeds; with
-``call_retries=0`` the same fault surfaces as ``CallTimeoutError``.
+``retries=0`` the same fault surfaces as ``CallTimeoutError``.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ def drop_first(method):
 
 def test_dropped_ping_retried_to_success(tmp_path):
     with oopp.Cluster(n_machines=2, backend="mp", call_timeout_s=1.0,
-                      call_retries=2, retry_backoff_s=0.05,
+                      retry=oopp.RetryConfig(retries=2, backoff_s=0.05),
                       fault_plan=drop_first("ping"),
                       storage_root=str(tmp_path / "r")) as cluster:
         t0 = time.monotonic()
@@ -50,7 +50,7 @@ def test_dropped_ping_retried_to_success(tmp_path):
 
 def test_dropped_ping_without_retries_times_out(tmp_path):
     with oopp.Cluster(n_machines=2, backend="mp", call_timeout_s=1.0,
-                      call_retries=0,
+                      retry=oopp.RetryConfig(retries=0),
                       fault_plan=drop_first("ping"),
                       storage_root=str(tmp_path / "r")) as cluster:
         with pytest.raises(CallTimeoutError):
@@ -61,7 +61,7 @@ def test_dropped_ping_without_retries_times_out(tmp_path):
 
 def test_non_idempotent_method_is_never_retried(tmp_path):
     with oopp.Cluster(n_machines=2, backend="mp", call_timeout_s=1.0,
-                      call_retries=3, retry_backoff_s=0.05,
+                      retry=oopp.RetryConfig(retries=3, backoff_s=0.05),
                       fault_plan=drop_first("bump"),
                       storage_root=str(tmp_path / "r")) as cluster:
         c = cluster.new(Counter, machine=1)
@@ -77,7 +77,7 @@ def test_non_idempotent_method_is_never_retried(tmp_path):
 
 def test_dropped_idempotent_read_retried(tmp_path):
     with oopp.Cluster(n_machines=2, backend="mp", call_timeout_s=1.0,
-                      call_retries=2, retry_backoff_s=0.05,
+                      retry=oopp.RetryConfig(retries=2, backoff_s=0.05),
                       fault_plan=drop_first("get"),
                       storage_root=str(tmp_path / "r")) as cluster:
         c = cluster.new(Counter, machine=1)

@@ -59,7 +59,7 @@ class TestPubRequestFaults:
             FaultRule(action="drop", direction="send", kinds=("pub",),
                       nth=1)])
         with oopp.Cluster(n_machines=2, backend="mp", call_timeout_s=1.0,
-                          call_retries=3, retry_backoff_s=0.05,
+                          retry=oopp.RetryConfig(retries=3, backoff_s=0.05),
                           fault_plan=plan,
                           storage_root=str(tmp_path / "r")) as cluster:
             handle = cluster.publish(Model(BLOB))
@@ -71,7 +71,7 @@ class TestPubRequestFaults:
             FaultRule(action="corrupt", direction="send", kinds=("pub",),
                       nth=1)])
         with oopp.Cluster(n_machines=2, backend="mp", call_timeout_s=1.0,
-                          call_retries=3, retry_backoff_s=0.05,
+                          retry=oopp.RetryConfig(retries=3, backoff_s=0.05),
                           fault_plan=plan,
                           storage_root=str(tmp_path / "r")) as cluster:
             handle = cluster.publish(Model(BLOB))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 import repro as oopp
-from repro.config import Config
+from repro.config import Config, RetryConfig
 from repro.errors import CallTimeoutError, ConfigError, RemoteExecutionError
 from repro.runtime.futures import RETRYABLE_ERRORS, retry_call
 from repro.runtime.oid import ObjectRef, class_spec
@@ -121,12 +121,12 @@ class TestIdempotencyRegistry:
 
 class TestRetryConfig:
     def test_negative_retries_rejected(self):
-        with pytest.raises(ConfigError, match="call_retries"):
-            Config(call_retries=-1).validate()
+        with pytest.raises(ConfigError, match="retry.retries"):
+            Config(retry=RetryConfig(retries=-1)).validate()
 
     def test_zero_backoff_rejected(self):
-        with pytest.raises(ConfigError, match="retry_backoff_s"):
-            Config(retry_backoff_s=0.0).validate()
+        with pytest.raises(ConfigError, match="retry.backoff_s"):
+            Config(retry=RetryConfig(backoff_s=0.0)).validate()
 
     def test_fault_plan_must_quack_like_a_plan(self):
         with pytest.raises(ConfigError, match="FaultPlan"):
@@ -139,5 +139,5 @@ class TestRetryConfig:
 
     def test_good_retry_config_validates(self):
         plan = FaultPlan(seed=1, rules=[FaultRule(action="drop", nth=1)])
-        Config(call_retries=3, retry_backoff_s=0.01,
+        Config(retry=RetryConfig(retries=3, backoff_s=0.01),
                fault_plan=plan).validate()

@@ -83,7 +83,7 @@ class TestBatchDrop:
             FaultRule(action="drop", direction="send", kinds=("batch",),
                       nth=1)])
         with oopp.Cluster(n_machines=2, backend="mp", call_timeout_s=1.0,
-                          call_retries=3, retry_backoff_s=0.05,
+                          retry=oopp.RetryConfig(retries=3, backoff_s=0.05),
                           fault_plan=plan,
                           storage_root=str(tmp_path / "r")) as cluster:
             cells = [cluster.new(Cell, machine=1) for _ in range(3)]
@@ -114,13 +114,13 @@ class TestBatchDrop:
         # Every multi-message flush on the dialed channel is dropped;
         # solo flushes pass.  A pipelined burst of futures outruns the
         # writer thread, so some flushes *must* batch — and with
-        # call_retries=0 every call inside a dropped batch times out
+        # retries=0 every call inside a dropped batch times out
         # individually instead of wedging the connection.
         plan = FaultPlan(seed=3, rules=[
             FaultRule(action="drop", direction="send", kinds=("batch",),
                       probability=1.0)])
         with oopp.Cluster(n_machines=2, backend="mp", call_timeout_s=0.8,
-                          call_retries=0, fault_plan=plan,
+                          retry=oopp.RetryConfig(retries=0), fault_plan=plan,
                           storage_root=str(tmp_path / "r")) as cluster:
             c = cluster.new(Cell, machine=1)
             c.fill(2.0)
@@ -141,7 +141,7 @@ class TestBatchDrop:
             FaultRule(action="corrupt", direction="send", kinds=("batch",),
                       nth=1)])
         with oopp.Cluster(n_machines=2, backend="mp", call_timeout_s=1.0,
-                          call_retries=3, retry_backoff_s=0.05,
+                          retry=oopp.RetryConfig(retries=3, backoff_s=0.05),
                           fault_plan=plan,
                           storage_root=str(tmp_path / "r")) as cluster:
             c = cluster.new(Cell, machine=1)
@@ -154,7 +154,8 @@ class TestShmUnderFaults:
 
     def cluster(self, tmp_path, plan, **kw):
         return oopp.Cluster(n_machines=2, backend="mp",
-                            shm_threshold_bytes=self.THRESHOLD,
+                            wire=oopp.WireConfig(
+                                shm_threshold_bytes=self.THRESHOLD),
                             fault_plan=plan,
                             storage_root=str(tmp_path / "r"), **kw)
 
@@ -187,7 +188,8 @@ class TestShmUnderFaults:
             FaultRule(action="drop", direction="recv", kinds=("res",),
                       nth=4)])
         with self.cluster(tmp_path, plan, call_timeout_s=1.5,
-                          call_retries=2, retry_backoff_s=0.05) as cl:
+                          retry=oopp.RetryConfig(retries=2,
+                                                 backoff_s=0.05)) as cl:
             board = cl.new(Board, machine=1)
             board.write("k", self.big_page())
             page = board.read("k")  # idempotent: dropped reply -> retry
@@ -199,7 +201,8 @@ class TestShmUnderFaults:
             FaultRule(action="corrupt", direction="recv", kinds=("res",),
                       nth=4)])
         with self.cluster(tmp_path, plan, call_timeout_s=1.5,
-                          call_retries=2, retry_backoff_s=0.05) as cl:
+                          retry=oopp.RetryConfig(retries=2,
+                                                 backoff_s=0.05)) as cl:
             board = cl.new(Board, machine=1)
             board.write("k", self.big_page())
             page = board.read("k")
@@ -214,7 +217,8 @@ class TestShmUnderFaults:
             FaultRule(action="drop", direction="recv", kinds=("res",),
                       nth=n) for n in (4, 6, 9)])
         with self.cluster(tmp_path, plan, call_timeout_s=1.0,
-                          call_retries=4, retry_backoff_s=0.05) as cl:
+                          retry=oopp.RetryConfig(retries=4,
+                                                 backoff_s=0.05)) as cl:
             board = cl.new(Board, machine=1)
             board.write("k", self.big_page())
             expect = float(np.arange(4096.0).sum())

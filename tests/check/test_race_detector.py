@@ -236,6 +236,28 @@ class TestBackends:
         assert all(r["class"] == "SharedCounter" for r in reports)
         assert any(r["kind"] == "write-write" for r in reports)
 
+    @pytest.mark.parametrize("backend", [
+        "inline", "sim", "mp", pytest.param("tcp", marks=pytest.mark.tcp)])
+    def test_consuming_a_reply_orders_the_caller_after_it(self, backend,
+                                                          tmp_path):
+        # One issue routine on every backend: the request ships the
+        # caller's clock, the reply brings the execution's back, and
+        # result() merges it — so the caller then dominates the reply.
+        from repro.check.vclock import AFTER, EQUAL, compare
+        from repro.runtime.proxy import ref_of
+
+        with oopp.Cluster(n_machines=2, backend=backend, call_timeout_s=60.0,
+                          storage_root=str(tmp_path / "r"),
+                          **RACE_DETECT) as cluster:
+            counter = cluster.on(1).new(SharedCounter)
+            fabric = cluster.fabric
+            future = fabric.call_async(ref_of(counter), "get", (), {})
+            future.result(60.0)
+            reply_clock = future._check_clock
+            caller_clock = fabric.checker._root.snapshot()
+        assert reply_clock, "the reply carries the execution's clock"
+        assert compare(caller_clock, reply_clock) in (AFTER, EQUAL)
+
     def test_inline_backend_is_genuinely_race_free(self, tmp_path):
         # inline executes calls synchronously and eagerly: every reply
         # is merged before the next send, so nothing is concurrent.

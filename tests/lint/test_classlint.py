@@ -1,11 +1,9 @@
-"""Runtime class checks (OOPP110-114) and the ``validate_remote_class``
-compatibility shim."""
+"""Runtime class checks (OOPP110-114)."""
 
 import pytest
 
 import repro as oopp
 from repro.lint import lint_class
-from repro.runtime.protocol import validate_remote_class
 
 pytestmark = pytest.mark.lint
 
@@ -29,8 +27,8 @@ class TestLintClass:
         assert "reserved" in findings[0].message
 
     def test_reserved_name_found_across_mro(self):
-        # the old validate_remote_class scanned vars(cls) only, so an
-        # inherited collision slipped through — the classic gap.
+        # a vars(cls)-only scan lets an inherited collision slip
+        # through — the classic gap.
         Base = type("Base", (), {"__oopp_custom": 1})
         Child = type("Child", (Base,), {})
         findings = [f for f in lint_class(Child) if f.code == "OOPP110"]
@@ -115,19 +113,3 @@ class TestLintClass:
         f = [x for x in lint_class(Local) if x.code == "OOPP113"][0]
         assert f.path.endswith("test_classlint.py")
         assert f.line > 0
-
-
-class TestValidateShim:
-    def test_emits_deprecation_warning(self):
-        with pytest.warns(DeprecationWarning, match="lint_class"):
-            validate_remote_class(oopp.Block)
-
-    def test_returns_messages_of_lint_class(self):
-        Bad = type("Bad", (), {"__oopp_custom": 1})
-        with pytest.warns(DeprecationWarning):
-            old = validate_remote_class(Bad)
-        assert old == [f.message for f in lint_class(Bad)]
-
-    def test_clean_class_is_empty_list(self):
-        with pytest.warns(DeprecationWarning):
-            assert validate_remote_class(oopp.PageDevice) == []

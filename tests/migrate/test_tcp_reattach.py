@@ -86,12 +86,12 @@ class TestCrossHostMigration:
         fabric = two_host_cluster.fabric
         p = two_host_cluster.on(0).new(Keeper, "foreign")
         two_host_cluster.migrate(p, 3)
-        fabric._fingerprints[3] = "f" * 16  # pretend host B is remote
+        fabric._client.fingerprints[3] = "f" * 16  # pretend host B is remote
         try:
-            options = fabric._options_for(3)
+            options = fabric._client.options_for(3)
             assert options.pub_descriptors is False
             assert options.shm_enabled is False
             # inline payloads still reach the migrated object
             assert p.measure(b"q" * 3) == ("foreign", 3)
         finally:
-            fabric._fingerprints[3] = host_fingerprint()
+            fabric._client.fingerprints[3] = host_fingerprint()

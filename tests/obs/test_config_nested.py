@@ -1,4 +1,4 @@
-"""The nested Config groups and the deprecated flat spellings."""
+"""The nested Config groups (the flat spellings they replaced are gone)."""
 
 from __future__ import annotations
 
@@ -42,8 +42,8 @@ class TestNestedGroups:
         assert cfg.retry.retries == 0
 
     @pytest.mark.parametrize("group,message", [
-        (dict(retry=RetryConfig(retries=-1)), "call_retries"),
-        (dict(retry=RetryConfig(backoff_s=0.0)), "retry_backoff_s"),
+        (dict(retry=RetryConfig(retries=-1)), "retry.retries"),
+        (dict(retry=RetryConfig(backoff_s=0.0)), "retry.backoff_s"),
         (dict(wire=WireConfig(coalesce_max_bytes=10)), "coalesce_max_bytes"),
         (dict(wire=WireConfig(coalesce_max_msgs=0)), "coalesce_max_msgs"),
         (dict(wire=WireConfig(shm_threshold_bytes=0)), "shm_threshold_bytes"),
@@ -62,61 +62,17 @@ class TestNestedGroups:
         assert clone.trace == cfg.trace
 
 
-class TestLegacyFlatKnobs:
-    def test_flat_kwargs_warn_and_forward(self):
-        with pytest.warns(DeprecationWarning, match="call_retries"):
-            cfg = Config(call_retries=3, retry_backoff_s=0.2)
-        assert cfg.retry == RetryConfig(retries=3, backoff_s=0.2)
-
-    def test_flat_wire_kwargs_forward(self):
-        with pytest.warns(DeprecationWarning):
-            cfg = Config(wire_coalesce=False, wire_header_cache=False,
-                         wire_shm=False, shm_threshold_bytes=4096,
-                         coalesce_max_bytes=2048, coalesce_max_msgs=7)
-        assert cfg.wire == WireConfig(
-            coalesce=False, header_cache=False, shm=False,
-            shm_threshold_bytes=4096, coalesce_max_bytes=2048,
-            coalesce_max_msgs=7)
-
-    def test_flat_kwargs_do_not_leak_into_other_configs(self):
-        # the nested groups are per-instance, not shared defaults
-        with pytest.warns(DeprecationWarning):
-            Config(call_retries=9)
-        assert Config().retry.retries == 0
-
-    def test_replace_accepts_flat_kwargs(self):
-        base = Config()
-        with pytest.warns(DeprecationWarning):
-            cfg = base.replace(call_retries=2)
-        assert cfg.retry.retries == 2
-        assert base.retry.retries == 0  # the source instance is untouched
-
-    def test_legacy_attribute_reads_warn_and_delegate(self):
-        cfg = Config(wire=WireConfig(shm_threshold_bytes=4096))
-        with pytest.warns(DeprecationWarning, match="shm_threshold_bytes"):
-            assert cfg.shm_threshold_bytes == 4096
-        with pytest.warns(DeprecationWarning, match="call_retries"):
-            assert cfg.call_retries == 0
+class TestFlatKnobsAreGone:
+    def test_flat_kwargs_are_a_typeerror(self):
+        with pytest.raises(TypeError, match="call_retries"):
+            Config(call_retries=1)
+        with pytest.raises(TypeError):
+            Config().replace(wire_coalesce=False)
 
     def test_unknown_attribute_is_a_plain_attributeerror(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # must not warn on the miss
             with pytest.raises(AttributeError):
                 Config().no_such_knob
-
-    def test_flat_validation_messages_still_name_the_flat_knob(self):
-        with pytest.warns(DeprecationWarning):
-            bad = Config(call_retries=-1)
-        with pytest.raises(ConfigError, match="call_retries"):
-            bad.validate()
-        with pytest.warns(DeprecationWarning):
-            bad = Config(retry_backoff_s=0.0)
-        with pytest.raises(ConfigError, match="retry_backoff_s"):
-            bad.validate()
-
-    def test_nested_and_flat_spellings_agree(self):
-        with pytest.warns(DeprecationWarning):
-            flat = Config(wire_coalesce=False, call_retries=2)
-        nested = Config(wire=WireConfig(coalesce=False),
-                        retry=RetryConfig(retries=2))
-        assert flat.wire == nested.wire and flat.retry == nested.retry
+            with pytest.raises(AttributeError):
+                Config().call_retries

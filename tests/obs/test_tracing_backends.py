@@ -1,13 +1,16 @@
-"""Causal call tracing across all three backends.
+"""Causal call tracing across all four backends.
 
-The same span model must hold everywhere: each traced call leaves a
-client span on the caller and a server span on the hosting machine, the
-server span's ``parent_id`` is the client span's id, and each span's
-timestamps are monotone in causal order.  On sim the timestamps are
-*simulated* seconds from the discrete-event clock.
+The same span model must hold everywhere — every backend issues calls
+through the one shared routine (``Fabric._issue``): each traced call
+leaves a client span on the caller and a server span on the hosting
+machine, the server span's ``parent_id`` is the client span's id, and
+each span's timestamps are monotone in causal order.  On sim the
+timestamps are *simulated* seconds from the discrete-event clock.
 """
 
 from __future__ import annotations
+
+import time
 
 import pytest
 
@@ -29,6 +32,9 @@ class Relay:
         return peer.echo(x)
 
 
+BACKENDS = ["inline", "mp", "sim", pytest.param("tcp", marks=pytest.mark.tcp)]
+
+
 def traced_cluster(backend, tmp_path, **kw):
     kw.setdefault("call_timeout_s", 60.0)
     return oopp.Cluster(n_machines=3, backend=backend, trace=True,
@@ -39,7 +45,7 @@ def span_values(span):
     return [value for _, value in span.times()]
 
 
-@pytest.mark.parametrize("backend", ["inline", "mp", "sim"])
+@pytest.mark.parametrize("backend", BACKENDS)
 class TestEveryBackend:
     def test_off_by_default(self, backend, tmp_path):
         with oopp.Cluster(n_machines=2, backend=backend,
@@ -70,6 +76,67 @@ class TestEveryBackend:
             values = span_values(span)
             assert values == sorted(values), span
 
+    def test_one_call_is_one_client_and_one_server_span(self, backend,
+                                                        tmp_path):
+        with traced_cluster(backend, tmp_path) as cluster:
+            obj = cluster.on(1).new(Echo)
+            cluster.trace_spans()  # discard setup spans
+            assert obj.echo(7) == 7
+            spans = cluster.trace_spans()
+        (client,) = [s for s in spans if s.kind == "client"]
+        (server,) = [s for s in spans if s.kind == "server"]
+        assert server.parent_id == client.span_id
+        assert (client.machine, client.peer) == (-1, 1)
+        assert (server.machine, server.peer) == (1, -1)
+        assert client.t_queued <= client.t_sent <= client.t_replied
+
+    def test_oneway_client_span_is_sent_and_never_replied(self, backend,
+                                                          tmp_path):
+        with traced_cluster(backend, tmp_path) as cluster:
+            obj = cluster.on(1).new(Echo)
+            cluster.trace_spans()
+            obj.echo.oneway(1)
+            obj.echo(2)  # same connection: the oneway reached the server
+            spans, deadline = [], time.monotonic() + 10.0
+            while (sum(s.kind == "server" for s in spans) < 2
+                   and time.monotonic() < deadline):
+                spans += cluster.trace_spans()  # its worker may lag a hair
+        oneway, blocking = sorted(
+            (s for s in spans if s.kind == "client"),
+            key=lambda s: s.span_id)
+        assert oneway.t_sent is not None
+        assert oneway.t_replied is None and oneway.error is None
+        assert blocking.finished
+        servers = [s for s in spans if s.kind == "server"]
+        assert {s.parent_id for s in servers} == {oneway.span_id,
+                                                  blocking.span_id}
+
+    def test_local_nested_call_has_no_client_span(self, backend, tmp_path):
+        # relay and its peer share machine 1: where the backend knows the
+        # caller's machine (every one but inline), the nested call is
+        # local — no wire, so no client span, and its server span parents
+        # straight to the enclosing server span.
+        with traced_cluster(backend, tmp_path) as cluster:
+            relay = cluster.on(1).new(Relay)
+            peer = cluster.on(1).new(Echo)
+            cluster.trace_spans()
+            assert relay.relay(peer, 4) == 4
+            spans = cluster.trace_spans()
+        relay_server = next(s for s in spans
+                            if s.kind == "server" and s.method == "relay")
+        echo_server = next(s for s in spans
+                           if s.kind == "server" and s.method == "echo")
+        echo_clients = [s for s in spans
+                        if s.kind == "client" and s.method == "echo"]
+        if backend == "inline":
+            (inner,) = echo_clients
+            assert inner.parent_id == relay_server.span_id
+            assert echo_server.parent_id == inner.span_id
+        else:
+            assert echo_clients == []
+            assert echo_server.parent_id == relay_server.span_id
+            assert echo_server.peer == 1
+
     def test_failed_call_records_error(self, backend, tmp_path):
         with traced_cluster(backend, tmp_path) as cluster:
             obj = cluster.on(1).new(Echo)
@@ -78,7 +145,9 @@ class TestEveryBackend:
             spans = cluster.trace_spans()
         server = next(s for s in spans
                       if s.kind == "server" and s.method == "boom")
-        assert server.error == "ValueError"
+        client = next(s for s in spans
+                      if s.kind == "client" and s.method == "boom")
+        assert server.error == client.error == "ValueError"
 
     def test_nested_call_parents_to_server_span(self, backend, tmp_path):
         # relay() calls peer.echo() from inside its body: the inner

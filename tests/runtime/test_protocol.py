@@ -6,11 +6,12 @@ import pytest
 
 import repro as oopp
 from repro.errors import RuntimeLayerError
-from repro.runtime.protocol import (
-    describe_protocol,
-    protocol_of,
-    validate_remote_class,
-)
+from repro.lint import lint_class
+from repro.runtime.protocol import describe_protocol, protocol_of
+
+
+def lint_messages(cls) -> list[str]:
+    return [finding.message for finding in lint_class(cls)]
 
 
 class Gadget:
@@ -102,23 +103,23 @@ class TestProtocolOf:
 
 class TestValidate:
     def test_clean_class(self):
-        assert validate_remote_class(Gadget) == []
-        assert validate_remote_class(oopp.PageDevice) == []
-        assert validate_remote_class(oopp.Block) == []
+        assert lint_messages(Gadget) == []
+        assert lint_messages(oopp.PageDevice) == []
+        assert lint_messages(oopp.Block) == []
 
     def test_reserved_namespace_collision(self):
         class Bad:
             def __oopp_getattr__(self):
                 return None
 
-        warnings = validate_remote_class(Bad)
+        warnings = lint_messages(Bad)
         assert any("reserved" in w for w in warnings)
 
     def test_local_class_warns(self):
         class Local:
             pass
 
-        warnings = validate_remote_class(Local)
+        warnings = lint_messages(Local)
         assert any("local class" in w for w in warnings)
 
     def test_attribute_method_shadowing(self):
@@ -128,7 +129,7 @@ class TestValidate:
             def value(self):  # type: ignore[no-redef] # noqa: F811
                 return 1
 
-        warnings = validate_remote_class(Shadow)
+        warnings = lint_messages(Shadow)
         assert any("method stub" in w for w in warnings)
 
 
@@ -136,7 +137,7 @@ class TestValidateEdgeCases:
     def test_reserved_prefix_collision_flagged(self):
         # type() sidesteps Python's name mangling of __oopp_custom.
         Bad = type("Bad", (), {"__oopp_custom": 1})
-        warnings = validate_remote_class(Bad)
+        warnings = lint_messages(Bad)
         assert any("__oopp_custom" in w and "reserved" in w
                    for w in warnings)
 
@@ -149,7 +150,7 @@ class TestValidateEdgeCases:
 
         for reserved in (GETATTR_METHOD, SETATTR_METHOD, PING_METHOD):
             Bad = type("Bad", (), {reserved: lambda self: None})
-            warnings = validate_remote_class(Bad)
+            warnings = lint_messages(Bad)
             assert any(reserved in w for w in warnings), reserved
 
     def test_idempotent_registry_attribute_is_sanctioned(self):
@@ -157,26 +158,26 @@ class TestValidateEdgeCases:
             "__oopp_idempotent__": frozenset({"get"}),
             "get": lambda self: 1,
         })
-        assert validate_remote_class(Good) == []
+        assert lint_messages(Good) == []
 
     def test_unpicklable_constructor_default_flagged(self):
         class Bad:
             def __init__(self, callback=lambda x: x):
                 self.callback = callback
 
-        warnings = validate_remote_class(Bad)
+        warnings = lint_messages(Bad)
         assert any("callback" in w and "not picklable" in w
                    for w in warnings)
 
     def test_picklable_defaults_are_clean(self):
-        assert validate_remote_class(PicklableDefaults) == []
+        assert lint_messages(PicklableDefaults) == []
 
     def test_unpicklable_default_names_the_parameter(self):
         class Bad:
             def __init__(self, ok=1, broken=lambda: None, fine="x"):
                 pass
 
-        warnings = [w for w in validate_remote_class(Bad)
+        warnings = [w for w in lint_messages(Bad)
                     if "not picklable" in w]
         assert len(warnings) == 1 and "broken" in warnings[0]
 

@@ -93,7 +93,7 @@ class TestShutdown:
     def test_machine_port_refuses_after_shutdown(self, tmp_path):
         cluster = oopp.Cluster(n_machines=1, backend="tcp",
                                storage_root=str(tmp_path / "root"))
-        addr = cluster.fabric._addrs[0]
+        addr = cluster.fabric._client._addrs[0]
         cluster.shutdown()
         with pytest.raises(OSError):
             socket.create_connection(addr, timeout=2.0).close()

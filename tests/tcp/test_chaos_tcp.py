@@ -113,8 +113,8 @@ class TestFaultInjectionRidesAlong:
             oopp.FaultRule(action="drop", direction="send",
                            kinds=("req",), methods=("ping",), nth=1)])
         with oopp.Cluster(n_machines=2, backend="tcp",
-                          call_timeout_s=1.0, call_retries=2,
-                          retry_backoff_s=0.05, fault_plan=plan,
+                          call_timeout_s=1.0, fault_plan=plan,
+                          retry=oopp.RetryConfig(retries=2, backoff_s=0.05),
                           storage_root=str(tmp_path / "root")) as cluster:
             t0 = time.monotonic()
             assert cluster.fabric.ping(1) == 1

@@ -3,7 +3,6 @@
 
 from __future__ import annotations
 
-import warnings
 
 import pytest
 
@@ -53,15 +52,6 @@ class TestClusterHostsKwarg:
     def test_n_machines_must_agree_with_hosts(self):
         with pytest.raises(ConfigError, match="disagrees"):
             oopp.Cluster(n_machines=5, hosts=["a/2", "b/2"])
-
-    def test_legacy_flat_hosts_kwarg_still_works_with_warning(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            cfg = Config(hosts=[oopp.HostSpec("localhost", machines=2)],
-                         n_machines=2)
-        assert any(issubclass(w.category, DeprecationWarning)
-                   for w in caught)
-        assert cfg.topology.hosts[0].machines == 2
 
 
 class TestAddressing:

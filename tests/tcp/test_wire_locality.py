@@ -32,7 +32,7 @@ class Echo:
 
 class TestSameHostKeepsZeroCopy:
     def test_driver_options_toward_loopback_daemon(self, tcp_cluster):
-        options = tcp_cluster.fabric._options_for(0)
+        options = tcp_cluster.fabric._client.options_for(0)
         base = WireOptions.from_config(tcp_cluster.config)
         assert options.shm_enabled == base.shm_enabled
         assert options.pub_descriptors is True
@@ -59,15 +59,15 @@ class TestSameHostKeepsZeroCopy:
 class TestForeignHostDowngrades:
     def test_driver_downgrades_for_foreign_fingerprint(self, tcp_cluster):
         fabric = tcp_cluster.fabric
-        fabric._fingerprints[1] = "f" * 16  # pretend m1 is on another box
+        fabric._client.fingerprints[1] = "f" * 16  # pretend m1 is on another box
         try:
-            options = fabric._options_for(1)
+            options = fabric._client.options_for(1)
             assert options.shm_enabled is False
             assert options.pub_descriptors is False
             # Other machines keep the local fast path.
-            assert fabric._options_for(0).pub_descriptors is True
+            assert fabric._client.options_for(0).pub_descriptors is True
         finally:
-            fabric._fingerprints[1] = host_fingerprint()
+            fabric._client.fingerprints[1] = host_fingerprint()
 
     def test_machine_server_downgrades_for_foreign_peer(self, tmp_path):
         from repro.backends.mp import MachineServer
@@ -75,12 +75,12 @@ class TestForeignHostDowngrades:
         config = oopp.Config(n_machines=2, backend="mp")
         server = MachineServer(0, config)
         try:
-            server.peer_fingerprints[1] = "f" * 16
-            foreign = server.options_for_peer(1)
+            server.outbound.fingerprints[1] = "f" * 16
+            foreign = server.outbound.options_for(1)
             assert foreign.shm_enabled is False
             assert foreign.pub_descriptors is False
-            server.peer_fingerprints[1] = host_fingerprint()
-            local = server.options_for_peer(1)
+            server.outbound.fingerprints[1] = host_fingerprint()
+            local = server.outbound.options_for(1)
             assert local.pub_descriptors is True
         finally:
             server.kernel.stop_event.set()

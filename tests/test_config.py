@@ -23,7 +23,7 @@ class TestValidation:
         ("startup_timeout_s", 0),
         ("shutdown_timeout_s", -1),
         ("sim_default_compute_s", -0.5),
-        ("mp_workers_per_machine", 0),
+        ("serve", ServeConfig(workers=0)),
         ("mp_start_method", "teleport"),
     ])
     def test_bad_values_rejected(self, field, value):

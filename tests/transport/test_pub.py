@@ -221,10 +221,18 @@ class TestSerdeSubstitution:
 
 
 class TestFabricSweep:
-    def test_cluster_shutdown_unpins(self, tmp_path):
-        with oopp.Cluster(n_machines=2, backend="inline",
+    @pytest.mark.parametrize("backend", [
+        "inline", "mp", pytest.param("tcp", marks=pytest.mark.tcp)])
+    def test_cluster_shutdown_unpins(self, tmp_path, backend):
+        """Every backend unpins its publications when the cluster shuts
+        down — after the machines that attached them are gone.  (mp
+        used to skip the sweep and strand the segment in /dev/shm.)"""
+        np = pytest.importorskip("numpy")
+        with oopp.Cluster(n_machines=2, backend=backend, call_timeout_s=60.0,
                           storage_root=str(tmp_path / "r")) as cluster:
-            handle = cluster.publish(Payload(b"sw" * 5000))
-            assert pub.registry().is_published(handle.get())
+            handle = cluster.publish(np.zeros(1 << 20))
+            assert handle.name in pub.registry().published_names()
+        assert pub.registry().published_names() == []
+        assert not [n for n in shm.host_shm_names() if "-pub-" in n]
         with pytest.raises(PublicationError):
             handle.get()  # unpinned at shutdown
