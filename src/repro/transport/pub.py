@@ -46,7 +46,7 @@ import struct
 import threading
 from typing import Any, Optional
 
-from ..errors import PublicationError
+from ..errors import PublicationError, TransportError
 from ..obs.metrics import counters
 from ..util.hostid import fingerprint_bytes, host_fingerprint
 from ..util.log import get_logger
@@ -194,7 +194,7 @@ class _Published:
                  seg, payload: Optional[bytes]) -> None:
         self.handle = handle
         self.obj = obj          # strong ref: keeps id(obj) valid until unpublish
-        self.seg = seg          # SharedMemory | None (local backing)
+        self.seg = seg          # shm.Segment | None (local backing)
         self.payload = payload  # bytes | None (shm backing)
         self.size = handle.nbytes
 
@@ -273,16 +273,10 @@ class PubRegistry:
         seg = payload = None
         if backing == "shm":
             try:
-                seg = shm._open_untracked(name=name, create=True,
-                                          size=max(body_size, 1))
-            except OSError as exc:
+                seg = shm.Segment.create(name, parts)
+            except TransportError as exc:
                 raise PublicationError(
                     f"cannot pin {body_size} B publication: {exc}") from exc
-            pos = 0
-            for part in parts:
-                n = memoryview(part).nbytes
-                seg.buf[pos:pos + n] = part
-                pos += n
         else:
             payload = b"".join(bytes(p) for p in parts)
         handle = Publication(name, body_size, generation, digest16)
@@ -313,13 +307,10 @@ class PubRegistry:
             for key in [k for k in self._attached if k[1] == name]:
                 del self._attached[key]
         if record.seg is not None:
-            try:
-                shm._unlink_quiet(record.seg)
-            except OSError:  # pragma: no cover - concurrent cleanup
-                pass
+            record.seg.unlink()
             try:
                 record.seg.close()
-            except (OSError, BufferError):  # pragma: no cover
+            except BufferError:  # pragma: no cover - a resolved view lives on
                 pass
         return True
 

@@ -2,18 +2,22 @@
 
 The mp backend always runs caller and callee on one host, so a bulk
 buffer never needs to traverse the socket at all: the sender writes it
-once into a ``multiprocessing.shared_memory`` segment and ships only a
-small *descriptor* (name + size) in the frame; the receiver maps the
-segment and hands the runtime a writable view of the same physical
-pages.  One copy total (sender staging), zero copies on the receive
-side — versus ~3 for the socket path (kernel buffer, reassembly, and
-the consumer's own copy).
+once into a named segment (:class:`Segment`, a file under Linux
+``/dev/shm`` — the one platform requirement) and ships only a small
+*descriptor* (name + size) in the frame; the receiver maps the segment
+and hands the runtime a writable view of the same physical pages.  One
+copy total (sender staging), zero copies on the receive side — versus
+~3 for the socket path (kernel buffer, reassembly, and the consumer's
+own copy).
 
 Ownership protocol
 ------------------
-* The **sender** creates the segment, fills it, closes its mapping and
-  forgets it.  If the send fails before the frame leaves, the sender
-  unlinks (the receiver can never have seen the name).
+* The **sender** creates the segment, fills it with ``write(2)``,
+  closes the fd and forgets it.  It never maps: faulting fresh tmpfs
+  pages in just to overwrite them doubles the cost under the GIL, and a
+  full ``/dev/shm`` is ``SIGBUS`` there but ``ENOSPC`` here.  If the
+  send fails before the frame leaves, the sender unlinks (the receiver
+  can never have seen the name).
 * The **receiver** owns cleanup (the paper's kernel object is the
   natural owner, hence "refcounted cleanup on the receiving kernel"):
   every decoded message holds one reference per segment, released via a
@@ -27,30 +31,24 @@ Ownership protocol
 
 Faults compose: a message dropped or corrupted in flight dies
 unreferenced, its finalizer runs, and the segment is unlinked — the
-chaos suite checks ``/dev/shm`` before and after.
-
-Python's ``resource_tracker`` would double-manage (and noisily
-"clean up") segments whose lifecycle we own, so segments are
-never registered with it in the first place; an ``atexit`` sweep
+chaos suite checks ``/dev/shm`` before and after.  An ``atexit`` sweep
 unlinks whatever a process still holds when it dies politely.
 """
 
 from __future__ import annotations
 
 import atexit
+import mmap
 import os
 import secrets
 import struct
 import threading
 import weakref
-from multiprocessing import shared_memory
+from dataclasses import dataclass
 from typing import Optional
 
 from ..errors import TransportError
 from ..util.hostid import fingerprint_bytes, host_fingerprint
-from ..util.log import get_logger
-
-log = get_logger("shm")
 
 #: all segment names carry this prefix — /dev/shm stays auditable.
 SHM_NAME_PREFIX = "oopp-"
@@ -62,45 +60,85 @@ SHM_NAME_PREFIX = "oopp-"
 #: nonexistent (or unrelated same-named) segment.
 _DESC = struct.Struct("<Q16s")
 
+_SHM_DIR = "/dev/shm"
+_IOV_MAX = os.sysconf("SC_IOV_MAX")
+_CREATE = os.O_CREAT | os.O_EXCL | os.O_RDWR
 
-_tracker_lock = threading.Lock()
+
+def _path(name: str) -> str:
+    # Names arrive off the wire and end up in a path.
+    if "/" in name or "\0" in name:
+        raise TransportError(f"shm segment name {name!r} is not a file name")
+    return f"{_SHM_DIR}/{name}"
 
 
-def _open_untracked(**kwargs) -> shared_memory.SharedMemory:
-    """Create/attach a segment without registering it with Python's
-    resource tracker.
+@dataclass(slots=True)
+class Segment:
+    """One named ``/dev/shm`` file: filled through its fd by the side
+    that creates it, mapped only by a side that reads it."""
 
-    This process owns the lifecycle (refcounted unlink + exit sweeps);
-    double-management by the tracker would both warn spuriously and race
-    the receiver's registration of the same name (their register calls
-    coalesce in the shared tracker's set, so balanced unregisters from
-    two processes still underflow).  Python 3.13 grew ``track=False``
-    for exactly this; on 3.11 the only hook is the register call itself.
-    """
-    from multiprocessing import resource_tracker
+    name: str
+    fd: int
+    size: int
+    _map: Optional[mmap.mmap] = None
 
-    with _tracker_lock:
-        orig = resource_tracker.register
-        resource_tracker.register = lambda *a, **k: None
+    @classmethod
+    def create(cls, name: str, parts) -> "Segment":
+        """A new segment holding *parts* back to back (one zero byte for
+        none: an empty file cannot be mapped), or nothing left behind."""
+        pending = [v.cast("B") for p in parts
+                   if (v := memoryview(p)).nbytes] or [memoryview(b"\0")]
+        size = sum(v.nbytes for v in pending)
+        seg = None
         try:
-            return shared_memory.SharedMemory(**kwargs)
+            seg = cls(name, os.open(_path(name), _CREATE, 0o600), size)
+            while pending:
+                # Short counts are normal: one call moves at most 2 GiB,
+                # and a nearly full tmpfs takes what fits before ENOSPC.
+                n = os.writev(seg.fd, pending[:_IOV_MAX])
+                while pending and n >= pending[0].nbytes:
+                    n -= pending.pop(0).nbytes
+                if n:
+                    pending[0] = pending[0][n:]
+            return seg
+        except OSError as exc:
+            raise TransportError(
+                f"cannot stage {size} B in a new shm segment: {exc}") from exc
         finally:
-            resource_tracker.register = orig
+            if seg is not None and pending:  # whatever stopped the writes
+                seg.close()
+                seg.unlink()
+
+    @classmethod
+    def open(cls, name: str) -> "Segment":
+        fd = os.open(_path(name), os.O_RDWR | os.O_NOFOLLOW)  # as shm_open
+        return cls(name, fd, os.fstat(fd).st_size)
+
+    @property
+    def buf(self) -> memoryview:
+        """A writable view of the whole segment, mapped on first use."""
+        if self._map is None:
+            self._map = mmap.mmap(self.fd, self.size)
+        return memoryview(self._map)
+
+    def close(self) -> None:
+        """Unmap, close the fd; ``BufferError`` while a view is alive."""
+        if self._map is not None:
+            self._map.close()
+            self._map = None
+        if self.fd >= 0:
+            os.close(self.fd)
+            self.fd = -1
+
+    def unlink(self) -> None:
+        _unlink(self.name)
 
 
-def _unlink_quiet(seg: shared_memory.SharedMemory) -> None:
-    """Unlink without notifying the resource tracker (which never heard
-    about this segment — see :func:`_open_untracked`; an unregister for
-    an unknown name makes the tracker process log a KeyError)."""
-    from multiprocessing import resource_tracker
-
-    with _tracker_lock:
-        orig = resource_tracker.unregister
-        resource_tracker.unregister = lambda *a, **k: None
-        try:
-            seg.unlink()
-        finally:
-            resource_tracker.unregister = orig
+def _unlink(name: str) -> None:
+    try:
+        os.unlink(_path(name))
+    except FileNotFoundError:  # the other side cleaned up first
+        pass
 
 
 def pack_descriptor(name: str, size: int) -> bytes:
@@ -108,9 +146,10 @@ def pack_descriptor(name: str, size: int) -> bytes:
 
 
 def unpack_descriptor(data: bytes) -> tuple[str, int]:
+    data = bytes(data)
     try:
-        size, fp = _DESC.unpack_from(bytes(data), 0)
-        name = bytes(data[_DESC.size:]).decode("ascii")
+        size, fp = _DESC.unpack_from(data, 0)
+        name = data[_DESC.size:].decode("ascii")
         fp_str = fp.decode("ascii")
     except (struct.error, UnicodeDecodeError) as exc:
         raise TransportError(f"malformed shm descriptor: {exc}") from exc
@@ -150,8 +189,7 @@ def _note_exported(name: str) -> None:
         if len(_exported) >= _EXPORTED_PRUNE_AT:
             # Receivers unlink promptly; drop names already gone so the
             # set stays bounded on long-running senders.
-            _exported = {n for n in _exported
-                         if os.path.exists("/dev/shm/" + n)}
+            _exported = {n for n in _exported if os.path.exists(_path(n))}
 
 
 def _reclaim_exported() -> None:
@@ -162,57 +200,34 @@ def _reclaim_exported() -> None:
         names = list(_exported)
         _exported.clear()
     for name in names:
-        try:
-            seg = _open_untracked(name=name)
-        except (FileNotFoundError, OSError):
-            continue  # receiver cleaned it up, the common case
-        try:
-            _unlink_quiet(seg)
-            seg.close()
-        except OSError:  # pragma: no cover - concurrent cleanup
-            pass
+        _unlink(name)  # usually gone already: the receiver unlinks
 
 
 class OutboundSegment:
     """A filled segment waiting for its frame to hit the wire."""
 
-    def __init__(self, seg: shared_memory.SharedMemory, size: int) -> None:
-        self._seg = seg
-        self.name = seg.name
-        self.descriptor = pack_descriptor(seg.name, size)
+    def __init__(self, name: str, size: int) -> None:
+        self.name = name
+        self.descriptor = pack_descriptor(name, size)
 
     def commit(self) -> None:
         """The frame was sent: the receiver owns the segment now (with
         the sender's exit sweep as the crash net)."""
-        if self._seg is not None:
-            self._seg.close()
-            self._seg = None
-            _note_exported(self.name)
+        _note_exported(self.name)
 
     def abort(self) -> None:
         """The frame never left: reclaim the segment."""
-        if self._seg is not None:
-            try:
-                self._seg.close()
-                _unlink_quiet(self._seg)
-            except OSError:  # pragma: no cover - already gone
-                pass
-            self._seg = None
+        _unlink(self.name)
 
 
 def export_buffer(view: memoryview) -> OutboundSegment:
     """Stage *view* (flat u8, from :func:`repro.transport.serde.dumps`)
-    into a fresh segment; one copy."""
+    into a fresh segment: one copy, no mapping."""
     size = view.nbytes
     name = f"{SHM_NAME_PREFIX}{os.getpid():x}-{secrets.token_hex(6)}"
-    try:
-        seg = _open_untracked(name=name, create=True, size=max(size, 1))
-    except OSError as exc:
-        raise TransportError(f"cannot create shm segment of {size} B: "
-                             f"{exc}") from exc
-    seg.buf[:size] = view
+    Segment.create(name, [view]).close()
     manager().count_copy(size)
-    return OutboundSegment(seg, size)
+    return OutboundSegment(name, size)
 
 
 # ---------------------------------------------------------------------------
@@ -220,19 +235,16 @@ def export_buffer(view: memoryview) -> OutboundSegment:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(slots=True)
 class _Entry:
-    __slots__ = ("seg", "view", "refs", "unlink")
-
-    def __init__(self, seg: shared_memory.SharedMemory,
-                 view: memoryview, unlink: bool = True) -> None:
-        self.seg = seg
-        self.view = view
-        self.refs = 0
-        #: whether this process unlinks the segment at refcount zero.
-        #: Per-call transfers are receiver-owned (True); *publication*
-        #: segments (:mod:`repro.transport.pub`) are publisher-owned —
-        #: an attaching process only ever closes its mapping.
-        self.unlink = unlink
+    seg: Segment
+    view: memoryview
+    #: whether this process unlinks the segment at refcount zero.
+    #: Per-call transfers are receiver-owned (True); *publication*
+    #: segments (:mod:`repro.transport.pub`) are publisher-owned —
+    #: an attaching process only ever closes its mapping.
+    unlink: bool
+    refs: int = 0
 
 
 class ShmManager:
@@ -250,7 +262,7 @@ class ShmManager:
         #: id(view) -> name, for consumers adopting a received view.
         self._by_view: dict[int, str] = {}
         #: unlinked segments whose mapping is still pinned by live views.
-        self._zombies: list[shared_memory.SharedMemory] = []
+        self._zombies: list[Segment] = []
         self._bytes_copied = 0
         self._attached_total = 0
 
@@ -268,19 +280,20 @@ class ShmManager:
         with self._lock:
             entry = self._entries.get(name)
             if entry is None:
+                seg = None
                 try:
-                    seg = _open_untracked(name=name)
-                except OSError as exc:
+                    seg = Segment.open(name)
+                    if seg.size < size:
+                        raise ValueError(f"it holds {seg.size} B, the "
+                                         f"descriptor claims {size} B")
+                    view = seg.buf[:size]
+                except (OSError, ValueError) as exc:  # ValueError: mmap's too
+                    if seg is not None:
+                        seg.close()
                     raise TransportError(
                         f"cannot attach shm segment {name!r}: {exc}") from exc
-                if seg.size < size:
-                    seg.close()
-                    raise TransportError(
-                        f"shm segment {name!r} is {seg.size} B, descriptor "
-                        f"claims {size} B")
-                view = seg.buf[:size]
                 entry = self._entries[name] = _Entry(
-                    seg, view, unlink=unlink_on_release)
+                    seg, view, unlink_on_release)
                 self._by_view[id(view)] = name
                 self._attached_total += 1
             entry.refs += 1
@@ -314,10 +327,7 @@ class ShmManager:
         # Publisher-owned segments (entry.unlink False) are never ours
         # to unlink — just drop the mapping.
         if entry.unlink:
-            try:
-                _unlink_quiet(entry.seg)
-            except OSError:  # pragma: no cover - concurrent unlink
-                pass
+            entry.seg.unlink()
         try:
             entry.view.release()
             entry.seg.close()
@@ -415,7 +425,7 @@ def host_shm_names() -> list[str]:
     """Framework-created segment names currently visible in /dev/shm
     (diagnostics; used by the chaos suite's leak checks)."""
     try:
-        return sorted(n for n in os.listdir("/dev/shm")
+        return sorted(n for n in os.listdir(_SHM_DIR)
                       if n.startswith(SHM_NAME_PREFIX))
     except OSError:  # pragma: no cover - non-Linux
         return []

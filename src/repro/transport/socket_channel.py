@@ -44,7 +44,7 @@ from .frames import (
     pack_batch,
     split_batch,
 )
-from .message import Message, Request
+from .message import ErrorResponse, Message, Request, Response
 
 _CALL_SKEL = struct.Struct("<I")
 
@@ -191,7 +191,14 @@ class SocketChannel(Channel):
                 wire.append(buf)
                 flags.append(BUF_PUB)
             elif opts.shm_enabled and view.nbytes >= opts.shm_threshold:
-                seg = shm.export_buffer(view)
+                try:
+                    seg = shm.export_buffer(view)
+                except BaseException:
+                    # This one did not fit (/dev/shm full): the message
+                    # goes nowhere, so neither do the ones already staged.
+                    for staged in segments:
+                        staged.abort()
+                    raise
                 segments.append(seg)
                 wire.append(seg.descriptor)
                 flags.append(BUF_SHM)
@@ -203,15 +210,28 @@ class SocketChannel(Channel):
     def _prepare(self, msg: Message
                  ) -> tuple[int, bytes, list, list[int],
                             list[shm.OutboundSegment]]:
-        if not self._options.pub_descriptors:
-            # Cross-host peer: publications encode by value (their
-            # descriptors name this host's /dev/shm), and _stage_buffers
-            # below keeps everything inline via shm_enabled=False.
-            with pub.suppress_descriptors():
+        """Encode and stage *msg*.  A :class:`Response` that cannot be
+        (unpicklable value, ``/dev/shm`` full) goes out as the
+        :class:`ErrorResponse` saying so: the call ran, its caller is
+        waiting, and nothing has touched the stream yet."""
+        try:
+            if not self._options.pub_descriptors:
+                # Cross-host peer: publications encode by value (their
+                # descriptors name this host's /dev/shm), and
+                # _stage_buffers keeps everything inline via
+                # shm_enabled=False.
+                with pub.suppress_descriptors():
+                    kind, header, buffers = self._encode_wire(msg)
+            else:
                 kind, header, buffers = self._encode_wire(msg)
-        else:
-            kind, header, buffers = self._encode_wire(msg)
-        wire, flags, segments = self._stage_buffers(buffers)
+            wire, flags, segments = self._stage_buffers(buffers)
+        except TransportError as exc:
+            if type(msg) is not Response:
+                raise
+            return self._prepare(ErrorResponse(
+                request_id=msg.request_id, message=str(exc), exception=exc,
+                type_name=f"{type(exc).__module__}.{type(exc).__qualname__}",
+                clock=msg.clock))
         return kind, header, wire, flags, segments
 
     # -- send ----------------------------------------------------------------
@@ -238,7 +258,15 @@ class SocketChannel(Channel):
         group; a group of one degenerates to a plain frame)."""
         if not msgs:
             return
-        prepared = [self._prepare(m) for m in msgs]
+        prepared: list = []
+        try:
+            for m in msgs:
+                prepared.append(self._prepare(m))
+        except BaseException:
+            for p in prepared:  # one could not be staged: none is sent
+                for seg in p[4]:
+                    seg.abort()
+            raise
         all_segments = [seg for p in prepared for seg in p[4]]
         sent_segments: list[shm.OutboundSegment] = []
         try:

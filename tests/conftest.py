@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import os
 
 import pytest
@@ -14,6 +15,29 @@ def isolated_storage(tmp_path, monkeypatch):
     """Point every device file and persistent store at the test's tmp dir."""
     monkeypatch.setenv("OOPP_STORAGE_DIR", str(tmp_path / "devstore"))
     yield tmp_path
+
+
+@pytest.fixture
+def shm_leak_gate():
+    """``/dev/shm`` holds exactly the ``oopp-*`` names it held before
+    the test.  Made autouse by the conftest of every directory whose
+    tests move segments (transport, storage, chaos).
+
+    The sender's exit sweep and the publisher's only run when a process
+    exits, so they are emulated here first: a segment exported to a peer
+    that was killed before attaching it is the sweep's to reclaim, not a
+    leak.  The *receive* side gets no such help — a segment this process
+    attached must be gone because its references were released."""
+    from repro.transport import pub, shm
+
+    before = set(shm.host_shm_names())
+    yield
+    pub.registry().shutdown()
+    gc.collect()
+    shm._reclaim_exported()
+    after = set(shm.host_shm_names())
+    assert after == before, (
+        f"leaked {sorted(after - before)}, removed {sorted(before - after)}")
 
 
 @pytest.fixture

@@ -8,25 +8,16 @@ the >= 5x speedup gate lives in ``repro.bench.a06_publication``.
 
 from __future__ import annotations
 
-import gc
-
 import pytest
 
 import repro as oopp
 from repro.check.conformance import conformance
 from repro.obs.metrics import counters
-from repro.transport import pub, shm
 
 
 @pytest.fixture(autouse=True)
-def no_shm_leaks():
-    before = set(shm.host_shm_names())
+def no_shm_leaks(shm_leak_gate):
     yield
-    pub.registry().shutdown()
-    gc.collect()
-    shm._reclaim_exported()
-    leaked = set(shm.host_shm_names()) - before
-    assert leaked == set(), f"leaked shm segments: {leaked}"
 
 
 class Model:

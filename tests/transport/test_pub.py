@@ -9,9 +9,10 @@ objects as descriptors wherever they appear.
 
 from __future__ import annotations
 
-import gc
+import os
 import pickle
 
+import numpy as np
 import pytest
 
 import repro as oopp
@@ -19,18 +20,6 @@ from repro.errors import PublicationError, TransportError
 from repro.obs.metrics import counters
 from repro.runtime.futures import RETRYABLE_ERRORS
 from repro.transport import pub, serde, shm
-
-
-@pytest.fixture(autouse=True)
-def no_shm_leaks():
-    """Publications must never leak /dev/shm segments past a test."""
-    before = set(shm.host_shm_names())
-    yield
-    pub.registry().shutdown()
-    gc.collect()
-    shm._reclaim_exported()
-    leaked = set(shm.host_shm_names()) - before
-    assert leaked == set(), f"leaked shm segments: {leaked}"
 
 
 class Payload:
@@ -105,6 +94,30 @@ class TestRegistry:
         assert handle.unpublish()
         assert handle.name not in shm.host_shm_names()
         assert not handle.unpublish()
+
+    def test_publish_on_full_shm_raises_and_leaves_nothing(
+            self, shm_full, open_fds):
+        # Was a SIGBUS in the per-part copy; see docs/FAILURES.md.
+        reg = pub.registry()
+        before, fds = shm.host_shm_names(), open_fds()
+        with pytest.raises(PublicationError,
+                           match=r"cannot pin \d+ B.*No space"):
+            reg.publish(Payload(b"f" * 8192), backing="shm")
+        assert shm.host_shm_names() == before and open_fds() == fds
+        assert reg.pinned_bytes == 0 and not reg.published_names()
+
+    @pytest.mark.parametrize("n", [1, 41, 5000])
+    def test_publish_continues_a_short_write(self, short_write, n):
+        # 41 stops one byte past the 40-byte trailer, inside the index;
+        # 5000 inside the out-of-band buffer.
+        short_write.n = n
+        obj = {"blob": b"p" * 3000, "grid": np.arange(2048.0)}
+        handle = pub.registry().publish(obj, backing="shm")
+        assert short_write.n is None, "the short write happened"
+        assert os.stat(f"/dev/shm/{handle.name}").st_size == handle.nbytes
+        got = handle.get()
+        assert got["blob"] == obj["blob"]
+        assert np.array_equal(got["grid"], obj["grid"])
 
     def test_resolve_after_unpublish_raises_retryable(self):
         handle = pub.registry().publish(Payload(b"r" * 8192), backing="shm")
